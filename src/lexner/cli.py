@@ -46,10 +46,8 @@ from .lexsim import (
 from .synth import distant_sentences, make_world, ner_dataset
 from .tagger import Gazetteer, TaggerConfig, TaggerModel, train
 from .tagger.gradcheck import gradient_check
-from .tagger.model import load_checkpoint, save_checkpoint
+from .tagger.model import FEATURE_NAMES, load_checkpoint, save_checkpoint
 from .tagger.train import progress_to_stderr
-
-KNOWN_FEATURES = ("word_emb", "char", "cap", "ls", "gazetteer")
 
 _PATH_KEYS = ("embeddings", "ls_table", "inventory")
 
@@ -80,9 +78,9 @@ def check_features(names) -> tuple[str, ...]:
     if not feats:
         raise UsageError("empty feature set")
     for name in feats:
-        if name not in KNOWN_FEATURES:
+        if name not in FEATURE_NAMES:
             raise UsageError(
-                f"unknown feature {name!r}; known: {', '.join(KNOWN_FEATURES)}"
+                f"unknown feature {name!r}; known: {', '.join(FEATURE_NAMES)}"
             )
     if len(set(feats)) != len(feats):
         raise UsageError(f"duplicate feature in {feats}")

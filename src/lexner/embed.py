@@ -427,6 +427,16 @@ def _parse_row(fields: list[bytes], dim: int, row: int, offset: int) -> tuple[st
         raise FormatError(f"row {row} has a non-numeric value", offset) from None
 
 
+def _finite_rows(rows: list[list[float]], offsets: list[int]) -> np.ndarray:
+    """Stack parsed rows as float32, refusing nan, inf and float32 overflow."""
+    with np.errstate(over="ignore"):  # overflow shows up as inf just below
+        vectors = np.array(rows, dtype=np.float32)
+    if not np.isfinite(vectors).all():
+        i = int(np.flatnonzero(~np.isfinite(vectors).all(axis=1))[0])
+        raise FormatError(f"row {i} has a non-finite value", offsets[i])
+    return vectors
+
+
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Read a vector file back into a table.
 
@@ -442,6 +452,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         head_fields = first.split()
         words: list[str] = []
         rows: list[list[float]] = []
+        offsets: list[int] = []
         if len(head_fields) == 2 and head_fields[0].isdigit() and head_fields[1].isdigit():
             count, dim = int(head_fields[0]), int(head_fields[1])
             for i in range(count):
@@ -452,6 +463,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                 w, vec = _parse_row(line.split(), dim, i, offset)
                 words.append(w)
                 rows.append(vec)
+                offsets.append(offset)
         else:
             # headerless third-party format: infer dim from the first row
             dim = len(head_fields) - 1
@@ -464,13 +476,13 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                 w, vec = _parse_row(line.split(), dim, i, offset)
                 words.append(w)
                 rows.append(vec)
+                offsets.append(offset)
                 offset = fh.tell()
                 line = fh.readline()
                 i += 1
-            vectors = np.array(rows, dtype=np.float32)
-            return EmbeddingTable(words, vectors)
+            return EmbeddingTable(words, _finite_rows(rows, offsets))
 
-        vectors = np.array(rows, dtype=np.float32)
+        vectors = _finite_rows(rows, offsets)
         magic_at = fh.tell()
         magic = fh.read(4)
         if not magic:
@@ -494,4 +506,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                 data_at + len(raw),
             )
         buckets = np.frombuffer(raw, dtype="<f4").reshape(nbuckets, dim).copy()
+        if not np.isfinite(buckets).all():
+            k = int(np.flatnonzero(~np.isfinite(buckets))[0])
+            raise FormatError("subword bucket data has a non-finite value", data_at + 4 * k)
         return EmbeddingTable(words, vectors, buckets, ngram_min=nmin, ngram_max=nmax, seed=seed)

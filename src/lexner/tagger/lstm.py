@@ -8,6 +8,16 @@ batch runs through the same kernel for the backward direction.
 
 Gate layout along the last axis of the parameter matrices: input, forget,
 candidate, output. Sigmoid on i/f/o, tanh on the candidate.
+
+Only the recurrent product h @ wh runs inside the time loop. The input
+projection x @ wx + b is one (T*B, D) @ (D, 4H) product before the loop,
+and the backward pass collects the pre-activation gradients of every step
+so that dx, d_wx, d_wh and d_b are one product (or sum) each after it.
+
+The forward cache is a dict of time-major arrays: "x" (T, B, D), "real"
+(T, B, 1) bool, "h" and "c" (T, B, H) holding the carried states after each
+step, "gates" (T, B, 4H) holding the activated i/f/g/o and "tanh_c" (T, B, H)
+holding tanh of the candidate cell state.
 """
 from __future__ import annotations
 
@@ -30,51 +40,53 @@ def init_lstm_params(rng: np.random.Generator, input_dim: int, hidden: int) -> d
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # tanh saturates to exactly +-1 instead of overflowing, so no masks
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def lstm_forward(
     params: dict[str, np.ndarray], x: np.ndarray, mask: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Run the recurrence over a (T, B, D) batch.
 
     Returns (h_seq (T, B, H), h_final (B, H), c_final (B, H), cache).
     Initial states are zero. With T == 0 everything is empty/zero.
     """
     T, B, D = x.shape
-    H = params["wh"].shape[0]
-    if mask is None:
-        mask = np.ones((T, B))
+    wh = params["wh"]
+    H = wh.shape[0]
+    real = np.ones((T, B, 1), dtype=bool) if mask is None else mask[:, :, None] != 0
+    a_x = (x.reshape(T * B, D) @ params["wx"] + params["b"]).reshape(T, B, 4 * H)
     h = np.zeros((B, H))
     c = np.zeros((B, H))
-    h_seq = np.zeros((T, B, H))
-    cache: list = []
-    wx, wh, b = params["wx"], params["wh"], params["b"]
+    h_seq = np.empty((T, B, H))
+    c_seq = np.empty((T, B, H))
+    gates = np.empty((T, B, 4 * H))
+    tanh_c = np.empty((T, B, H))
     for t in range(T):
-        m = mask[t][:, None]
-        a = x[t] @ wx + h @ wh + b
-        i = _sigmoid(a[:, :H])
-        f = _sigmoid(a[:, H : 2 * H])
-        g = np.tanh(a[:, 2 * H : 3 * H])
-        o = _sigmoid(a[:, 3 * H :])
+        a = a_x[t] + h @ wh
+        act = gates[t]
+        act[:] = _sigmoid(a)
+        i, f, g, o = act[:, :H], act[:, H : 2 * H], act[:, 2 * H : 3 * H], act[:, 3 * H :]
+        g[:] = np.tanh(a[:, 2 * H : 3 * H])
         c_cand = f * c + i * g
-        tanh_c = np.tanh(c_cand)
-        h_cand = o * tanh_c
-        cache.append((x[t], h, c, i, f, g, o, tanh_c, m))
-        h = m * h_cand + (1.0 - m) * h
-        c = m * c_cand + (1.0 - m) * c
-        h_seq[t] = h
+        tanh_c[t] = np.tanh(c_cand)
+        h = h_seq[t] = np.where(real[t], o * tanh_c[t], h)
+        c = c_seq[t] = np.where(real[t], c_cand, c)
+    cache = {"x": x, "real": real, "h": h_seq, "c": c_seq, "gates": gates, "tanh_c": tanh_c}
     return h_seq, h, c, cache
+
+
+def _shift_in_zero(seq: np.ndarray) -> np.ndarray:
+    """seq[t - 1] at position t, zeros at t = 0: the state entering each step."""
+    prev = np.zeros_like(seq)
+    prev[1:] = seq[:-1]
+    return prev
 
 
 def lstm_backward(
     params: dict[str, np.ndarray],
-    cache: list,
+    cache: dict[str, np.ndarray],
     dh_seq: np.ndarray | None,
     dh_final: np.ndarray | None = None,
     dc_final: np.ndarray | None = None,
@@ -86,49 +98,44 @@ def lstm_backward(
     states. Returns (dx (T, B, D), parameter gradients).
     """
     wx, wh = params["wx"], params["wh"]
-    T = len(cache)
+    x, real, gates, tanh_c = cache["x"], cache["real"], cache["gates"], cache["tanh_c"]
+    T, B, D = x.shape
     H = wh.shape[0]
-    grads = {
-        "wx": np.zeros_like(wx),
-        "wh": np.zeros_like(wh),
-        "b": np.zeros_like(params["b"]),
-    }
-    if T == 0:
-        return np.zeros((0, 0, wx.shape[0])), grads
-    B = cache[0][1].shape[0]
-    dx = np.zeros((T, B, wx.shape[0]))
+    h_prev = _shift_in_zero(cache["h"])
+    c_prev = _shift_in_zero(cache["c"])
+    i, f, g, o = (gates[:, :, k * H : (k + 1) * H] for k in range(4))
+    # Per-step factors that do not depend on the incoming gradient. Step t's
+    # pre-activation gradient is [dc*i', dc*f', dc*g', dh*o'] times these.
+    do_dc = o * (1.0 - tanh_c ** 2)
+    local = np.empty_like(gates)
+    local[:, :, :H] = g * (i * (1.0 - i))
+    local[:, :, H : 2 * H] = c_prev * (f * (1.0 - f))
+    local[:, :, 2 * H : 3 * H] = i * (1.0 - g ** 2)
+    local[:, :, 3 * H :] = tanh_c * (o * (1.0 - o))
+    local = local.reshape(T, B, 4, H)
+
+    da = np.empty((T, B, 4, H))
     dh = np.zeros((B, H)) if dh_final is None else dh_final.copy()
     dc = np.zeros((B, H)) if dc_final is None else dc_final.copy()
     for t in range(T - 1, -1, -1):
-        x_t, h_prev, c_prev, i, f, g, o, tanh_c, m = cache[t]
         if dh_seq is not None:
             dh = dh + dh_seq[t]
-        dh_cand = m * dh
-        dh_pass = (1.0 - m) * dh
-        dc_cand = m * dc
-        dc_pass = (1.0 - m) * dc
+        dh_cand = np.where(real[t], dh, 0.0)
+        dc_total = np.where(real[t], dc, 0.0) + dh_cand * do_dc[t]
+        da_t = da[t]
+        da_t[:, :3] = dc_total[:, None, :]
+        da_t[:, 3] = dh_cand
+        da_t *= local[t]
+        dc = np.where(real[t], dc_total * f[t], dc)
+        dh = np.where(real[t], da_t.reshape(B, 4 * H) @ wh.T, dh)
 
-        do = dh_cand * tanh_c
-        dc_total = dc_cand + dh_cand * o * (1.0 - tanh_c ** 2)
-        di = dc_total * g
-        df = dc_total * c_prev
-        dg = dc_total * i
-        dc = dc_total * f + dc_pass
-
-        da = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g ** 2),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-        dx[t] = da @ wx.T
-        grads["wx"] += x_t.T @ da
-        grads["wh"] += h_prev.T @ da
-        grads["b"] += da.sum(axis=0)
-        dh = da @ wh.T + dh_pass
+    da = da.reshape(T * B, 4 * H)
+    grads = {
+        "wx": x.reshape(T * B, D).T @ da,
+        "wh": h_prev.reshape(T * B, H).T @ da,
+        "b": da.sum(axis=0),
+    }
+    dx = (da @ wx.T).reshape(T, B, D)
     return dx, grads
 
 

@@ -184,24 +184,20 @@ class TaggerModel:
     def char_ids(self, surface: str) -> list[int]:
         return [self.char_index.get(c, 0) for c in surface]
 
-    def _char_reps(self, batch: list[Sentence]) -> tuple[np.ndarray, dict]:
-        """BiLSTM over characters of every real token in the batch.
+    def _char_reps(self, words: list[str]) -> tuple[np.ndarray, dict]:
+        """BiLSTM over the characters of each word.
 
-        Returns reps (N, 2*char_hidden) in flat token order plus the cache
-        needed for the backward pass.
+        Returns reps (N, 2*char_hidden) in the order of `words` plus the
+        cache needed for the backward pass.
         """
-        cfg = self.config
-        tokens = [t.surface for s in batch for t in s.tokens]
-        n = len(tokens)
-        hc = cfg.char_hidden
+        n = len(words)
         if n == 0:
-            return np.zeros((0, 2 * hc)), {"n": 0}
-        clens = np.array([max(1, len(w)) for w in tokens])
+            return np.zeros((0, 2 * self.config.char_hidden)), {"n": 0}
+        clens = np.array([max(1, len(w)) for w in words])
         lmax = int(clens.max())
         cids = np.zeros((lmax, n), dtype=np.int64)
-        for j, w in enumerate(tokens):
-            for k, c in enumerate(w):
-                cids[k, j] = self.char_index.get(c, 0)
+        for j, w in enumerate(words):
+            cids[: len(w), j] = self.char_ids(w)
         cmask = (np.arange(lmax)[:, None] < clens[None, :]).astype(np.float64)
         emb = self.params["char_emb"][cids]  # (lmax, n, char_emb_dim)
         fwd_p = {k: self.params[f"char_fwd.{k}"] for k in ("wx", "wh", "b")}
@@ -218,10 +214,9 @@ class TaggerModel:
         return reps, ctx
 
     def _char_backward(self, d_reps: np.ndarray, ctx: dict, grads: dict) -> None:
-        cfg = self.config
         if ctx["n"] == 0:
             return
-        hc = cfg.char_hidden
+        hc = self.config.char_hidden
         dxf, gf = lstm_backward(ctx["fwd_p"], ctx["cache_f"], None,
                                 dh_final=d_reps[:, :hc])
         dxb_rev, gb = lstm_backward(ctx["bwd_p"], ctx["cache_b"], None,
@@ -238,6 +233,10 @@ class TaggerModel:
 
         Also returns lengths (B,), mask (T, B), and the assembly context
         used to route gradients back into the trainable blocks.
+
+        Every per-token feature except the gazetteer bits depends on the
+        surface alone, so rows are built once per distinct surface and
+        gathered onto the real positions.
         """
         cfg = self.config
         B = len(batch)
@@ -248,66 +247,43 @@ class TaggerModel:
         mask = (np.arange(T)[:, None] < lengths[None, :]).astype(np.float64)
         real = mask.astype(bool)
 
-        blocks: list[np.ndarray] = []
-        ctx: dict = {"lengths": lengths, "mask": mask, "real": real, "slices": {}}
-        at = 0
+        # plain dict, not np.unique: fixed-width numpy strings drop trailing NULs
+        index: dict[str, int] = {}
+        inverse = [index.setdefault(tok.surface, len(index)) for s in batch for tok in s.tokens]
+        types = list(index)
+        type_grid = np.zeros((B, T), dtype=np.int64)
+        type_grid[real.T] = inverse  # surfaces are listed sentence by sentence
+        type_at = type_grid.T[real]  # type of each real position, in (t, b) order
+        ctx: dict = {"real": real, "type_at": type_at}
 
+        rows: dict[str, np.ndarray] = {}  # (n_types, d) per block that reads the surface alone
         if cfg.uses("word_emb"):
-            wids = np.zeros((T, B), dtype=np.int64)
-            for b, s in enumerate(batch):
-                for t, tok in enumerate(s.tokens):
-                    wids[t, b] = self.word_id(tok.surface)
-            d = self.params["word_emb"].shape[1]
-            blocks.append(self.params["word_emb"][wids] * mask[:, :, None])
-            ctx["wids"] = wids
-            ctx["slices"]["word_emb"] = slice(at, at + d)
-            at += d
-
+            ctx["wids"] = np.array([self.word_id(w) for w in types], dtype=np.int64)
+            rows["word_emb"] = self.params["word_emb"][ctx["wids"]]
         if cfg.uses("char"):
-            reps, char_ctx = self._char_reps(batch)
-            d = 2 * cfg.char_hidden
-            block = np.zeros((T, B, d))
-            k = 0
-            for b, s in enumerate(batch):
-                for t in range(len(s)):
-                    block[t, b] = reps[k]
-                    k += 1
-            blocks.append(block)
-            ctx["char"] = char_ctx
-            ctx["slices"]["char"] = slice(at, at + d)
-            at += d
-
+            rows["char"], ctx["char"] = self._char_reps(types)
         if cfg.uses("cap"):
-            caps = np.zeros((T, B), dtype=np.int64)
-            for b, s in enumerate(batch):
-                for t, tok in enumerate(s.tokens):
-                    caps[t, b] = int(capitalization_class(tok))
-            d = cfg.cap_emb_dim
-            blocks.append(self.params["cap_emb"][caps] * mask[:, :, None])
-            ctx["caps"] = caps
-            ctx["slices"]["cap"] = slice(at, at + d)
-            at += d
-
+            ctx["caps"] = np.array([int(capitalization_class(w)) for w in types], dtype=np.int64)
+            rows["cap"] = self.params["cap_emb"][ctx["caps"]]
         if cfg.uses("ls"):
-            d = self.ls_table.dim
-            block = np.zeros((T, B, d))
-            for b, s in enumerate(batch):
-                for t, tok in enumerate(s.tokens):
-                    block[t, b] = np.asarray(self.ls_table.vector(tok.surface), dtype=np.float64)
-            blocks.append(block)
-            ctx["slices"]["ls"] = slice(at, at + d)
-            at += d
+            rows["ls"] = np.array([self.ls_table.vector(w) for w in types], dtype=np.float64)
 
+        widths = {name: r.shape[1] for name, r in rows.items()}
         if cfg.uses("gazetteer"):
-            d = len(self.gazetteer)
-            block = np.zeros((T, B, d))
-            for b, s in enumerate(batch):
-                block[: len(s), b] = gazetteer_features(s, self.gazetteer)
-            blocks.append(block)
-            ctx["slices"]["gazetteer"] = slice(at, at + d)
+            widths["gazetteer"] = len(self.gazetteer)
+        ctx["slices"] = {}
+        at = 0
+        for name, d in widths.items():
+            ctx["slices"][name] = slice(at, at + d)
             at += d
-
-        x = np.concatenate(blocks, axis=2)
+        x = np.zeros((T, B, at))
+        if rows:
+            surface = np.concatenate(list(rows.values()), axis=1)
+            x[real, : surface.shape[1]] = surface[type_at]
+        if cfg.uses("gazetteer"):
+            gaz = ctx["slices"]["gazetteer"]
+            for b, s in enumerate(batch):
+                x[: len(s), b, gaz] = gazetteer_features(s, self.gazetteer)
         return x, lengths, mask, ctx
 
     def assemble_input(self, token_surface: str) -> np.ndarray:
@@ -401,17 +377,17 @@ class TaggerModel:
             dx = dx * drop_in
 
         sl = ctx["slices"]
-        real = ctx["real"]
+        type_at = ctx["type_at"]
+        dx_real = dx[ctx["real"]]
         if cfg.uses("word_emb"):
-            np.add.at(grads["word_emb"], ctx["wids"][real], dx[:, :, sl["word_emb"]][real])
+            np.add.at(grads["word_emb"], ctx["wids"][type_at], dx_real[:, sl["word_emb"]])
         if cfg.uses("char"):
-            d_block = dx[:, :, sl["char"]]
-            # flat token order must match _char_reps: sentence-major
-            d_reps = np.concatenate(
-                [d_block[: len(s), b] for b, s in enumerate(batch)], axis=0)
+            # a word's rep feeds every position it occupies
+            d_reps = np.zeros((ctx["char"]["n"], 2 * cfg.char_hidden))
+            np.add.at(d_reps, type_at, dx_real[:, sl["char"]])
             self._char_backward(d_reps, ctx["char"], grads)
         if cfg.uses("cap"):
-            np.add.at(grads["cap_emb"], ctx["caps"][real], dx[:, :, sl["cap"]][real])
+            np.add.at(grads["cap_emb"], ctx["caps"][type_at], dx_real[:, sl["cap"]])
         # ls and gazetteer blocks are frozen: no gradient routes to them
 
         if corrupt is not None:
@@ -535,9 +511,11 @@ def load_checkpoint(path: str | Path, ls_table: LSTable | None = None) -> Tagger
             raw = fh.read(count * 4)
             if len(raw) < count * 4:
                 raise FormatError(f"truncated tensor {spec['name']!r}", at + len(raw))
-            params[spec["name"]] = (
-                np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-            )
+            values = np.frombuffer(raw, dtype="<f4")
+            if not np.isfinite(values).all():
+                k = int(np.flatnonzero(~np.isfinite(values))[0])
+                raise FormatError(f"tensor {spec['name']!r} has a non-finite value", at + 4 * k)
+            params[spec["name"]] = values.astype(np.float64).reshape(shape)
 
     if cfg.uses("ls"):
         if ls_table is None:

@@ -1,6 +1,7 @@
 """End-to-end command-line tests; every command runs in process via main()."""
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lexner.cli import (
@@ -285,6 +286,15 @@ class TestPipeline:
         out = [ln.split() for ln in capsys.readouterr().out.splitlines() if ln]
         assert [r[0] for r in out] == words
         assert all(r[1] == "O" and len(r) == 3 for r in out)
+
+    def test_tag_rejects_non_finite_checkpoint(self, pipe, tmp_path, capsys):
+        raw = bytearray((pipe / "model.ckpt").read_bytes())
+        raw[-4:] = np.float32(np.inf).tobytes()
+        bad = tmp_path / "inf.ckpt"
+        bad.write_bytes(bytes(raw))
+        assert main(["tag", "--checkpoint", str(bad), "--input", str(pipe / "test.txt"),
+                     "--ls-table", str(pipe / "table.lstb")]) == 2
+        assert "non-finite value" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,18 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load_embeddings(p)
 
+    @pytest.mark.parametrize("text, offset", [
+        ("2 3\nthe 0.1 0.2 0.3\ncat -1 nan 2\n", 20),   # headered
+        ("the 0.1 0.2 0.3\ncat -1 0.5 -inf\n", 16),      # headerless
+        ("the 0.1 0.2 0.3\ncat -1 1e39 2\n", 16),        # overflows float32
+    ])
+    def test_non_finite_row_rejected_at_its_offset(self, tmp_path, text, offset):
+        p = tmp_path / "bad.txt"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match="row 1 has a non-finite value") as err:
+            load_embeddings(p)
+        assert err.value.offset == offset
+
     def test_truncated_subword_section_rejected(self, tmp_path):
         table = train_skipgram(tiny_corpus(), small_config())
         p = tmp_path / "vec.bin"

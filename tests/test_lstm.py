@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexner.tagger.lstm import (
+    _sigmoid,
     init_lstm_params,
     lstm_backward,
     lstm_forward,
@@ -23,7 +24,7 @@ class TestForward:
         h_seq, h, c, cache = lstm_forward(p, x)
         assert h_seq.shape == (6, 3, 4)
         assert h.shape == (3, 4) and c.shape == (3, 4)
-        assert len(cache) == 6
+        assert cache["gates"].shape == (6, 3, 16)
 
     def test_empty_sequence(self):
         rng = np.random.default_rng(0)
@@ -173,3 +174,152 @@ class TestReversal:
         _, fwd_final, _, _ = lstm_forward(p, chars)
         _, bwd_final_of_rev, _, _ = lstm_forward(p, reverse_padded(rev, np.array([4])))
         np.testing.assert_allclose(fwd_final, bwd_final_of_rev, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# per-step reference kernels
+# ---------------------------------------------------------------------------
+# The kernels as they were before the input projection and the parameter
+# gradients moved out of the time loop: one small product per step and a
+# sigmoid that splits on sign. The batched kernels must reproduce them.
+
+def ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_lstm_forward(params, x, mask=None):
+    T, B, D = x.shape
+    H = params["wh"].shape[0]
+    if mask is None:
+        mask = np.ones((T, B))
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    h_seq = np.zeros((T, B, H))
+    cache = []
+    wx, wh, b = params["wx"], params["wh"], params["b"]
+    for t in range(T):
+        m = mask[t][:, None]
+        a = x[t] @ wx + h @ wh + b
+        i = ref_sigmoid(a[:, :H])
+        f = ref_sigmoid(a[:, H : 2 * H])
+        g = np.tanh(a[:, 2 * H : 3 * H])
+        o = ref_sigmoid(a[:, 3 * H :])
+        c_cand = f * c + i * g
+        tanh_c = np.tanh(c_cand)
+        h_cand = o * tanh_c
+        cache.append((x[t], h, c, i, f, g, o, tanh_c, m))
+        h = m * h_cand + (1.0 - m) * h
+        c = m * c_cand + (1.0 - m) * c
+        h_seq[t] = h
+    return h_seq, h, c, cache
+
+
+def ref_lstm_backward(params, cache, dh_seq, dh_final=None, dc_final=None):
+    wx, wh = params["wx"], params["wh"]
+    T = len(cache)
+    H = wh.shape[0]
+    grads = {"wx": np.zeros_like(wx), "wh": np.zeros_like(wh), "b": np.zeros_like(params["b"])}
+    if T == 0:
+        return np.zeros((0, 0, wx.shape[0])), grads
+    B = cache[0][1].shape[0]
+    dx = np.zeros((T, B, wx.shape[0]))
+    dh = np.zeros((B, H)) if dh_final is None else dh_final.copy()
+    dc = np.zeros((B, H)) if dc_final is None else dc_final.copy()
+    for t in range(T - 1, -1, -1):
+        x_t, h_prev, c_prev, i, f, g, o, tanh_c, m = cache[t]
+        if dh_seq is not None:
+            dh = dh + dh_seq[t]
+        dh_cand = m * dh
+        dh_pass = (1.0 - m) * dh
+        dc_cand = m * dc
+        dc_pass = (1.0 - m) * dc
+        do = dh_cand * tanh_c
+        dc_total = dc_cand + dh_cand * o * (1.0 - tanh_c ** 2)
+        di = dc_total * g
+        df = dc_total * c_prev
+        dg = dc_total * i
+        dc = dc_total * f + dc_pass
+        da = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g ** 2), do * o * (1.0 - o)],
+            axis=1,
+        )
+        dx[t] = da @ wx.T
+        grads["wx"] += x_t.T @ da
+        grads["wh"] += h_prev.T @ da
+        grads["b"] += da.sum(axis=0)
+        dh = da @ wh.T + dh_pass
+    return dx, grads
+
+
+def assert_close(got, want):
+    """rtol 1e-12 with an absolute floor of 1e-12 times the largest entry.
+
+    The kernels sum the same float64 terms in another order, which moves a
+    result by a few ulps of its largest terms: a large relative error on an
+    entry whose terms cancel to near zero.
+    """
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(initial=0.0))
+
+
+def check_against_reference(lengths, T, d=5, h=4, seed=0, seq_grad=True):
+    rng = np.random.default_rng(seed)
+    p = make_params(rng, d, h)
+    B = len(lengths)
+    x = rng.normal(size=(T, B, d))
+    mask = (np.arange(T)[:, None] < np.array(lengths)[None, :]).astype(float)
+    dh_seq = rng.normal(size=(T, B, h)) if seq_grad else None
+    dh_fin, dc_fin = rng.normal(size=(B, h)), rng.normal(size=(B, h))
+
+    h_seq, h_fin, c_fin, cache = lstm_forward(p, x, mask)
+    r_seq, r_h, r_c, r_cache = ref_lstm_forward(p, x, mask)
+    for got, want in ((h_seq, r_seq), (h_fin, r_h), (c_fin, r_c)):
+        assert_close(got, want)
+
+    dx, grads = lstm_backward(p, cache, dh_seq, dh_final=dh_fin, dc_final=dc_fin)
+    r_dx, r_grads = ref_lstm_backward(p, r_cache, dh_seq, dh_final=dh_fin, dc_final=dc_fin)
+    assert dx.shape == x.shape
+    if T > 0:  # the reference returns (0, 0, D) for an empty batch
+        assert_close(dx, r_dx)
+    for k in ("wx", "wh", "b"):
+        assert_close(grads[k], r_grads[k])
+
+
+class TestMatchesPerStepReference:
+    @pytest.mark.parametrize("lengths, T", [
+        ([7, 3, 1, 5], 7),   # ragged
+        ([6, 6, 6], 6),      # no padding
+        ([4], 4),            # B = 1
+        ([1], 1),            # one step
+        ([2, 0, 3], 3),      # a sequence with no real step
+        ([0, 0], 0),         # T = 0
+        ([0], 0),            # T = 0, B = 1
+    ])
+    def test_ragged_batches(self, lengths, T):
+        check_against_reference(lengths, T)
+
+    def test_final_state_only(self):
+        check_against_reference([5, 2, 4], 5, seq_grad=False)
+
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=5), st.integers(0, 2),
+           st.integers(0, 2**16))
+    @example([0, 6, 0, 6], 0, 6)  # a d_b entry that cancels to 3e-6
+    @settings(max_examples=60, deadline=None)
+    def test_random_ragged(self, lengths, pad, seed):
+        check_against_reference(lengths, max(lengths) + pad, d=3, h=2, seed=seed)
+
+
+class TestSigmoid:
+    def test_matches_logistic(self):
+        x = np.linspace(-40.0, 40.0, 160001)
+        np.testing.assert_allclose(_sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=0, atol=1e-15)
+
+    def test_saturates_exactly_without_overflow(self):
+        with np.errstate(all="raise"):
+            out = _sigmoid(np.array([-1e4, 1e4]))
+        assert out[0] == 0.0 and out[1] == 1.0

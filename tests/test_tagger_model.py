@@ -22,7 +22,7 @@ from lexner.tagger import (
 from lexner.tagger.gradcheck import gradient_check
 from lexner.tagger.train import global_norm
 
-from world import TYPES3, VOCAB, tagged_sentences, tiny_config, tiny_world
+from world import TYPES3, VOCAB, tagged_sentences, tiny_config, tiny_embeddings, tiny_world
 
 
 def build_tiny_model(features=("word_emb", "char", "cap", "ls"), gazetteer=None, **cfg_kw):
@@ -116,6 +116,60 @@ class TestAssembly:
             tiny_config(features=())
         with pytest.raises(DataError):
             tiny_config(features=("word_emb", "word_emb"))
+
+
+# Surfaces repeat within and across sentences, in three casings, and
+# "foxes" is absent from the LS table, so its LS row comes from the subword
+# fallback of the embedding table.
+REPEATS = [
+    (["the", "Fox", "saw", "the", "fox"], ["O", "U-animal", "O", "O", "U-animal"]),
+    (["FOX", "foxes", "saw", "the", "crow"], ["U-animal", "U-animal", "O", "O", "U-animal"]),
+    (["the", "foxes", "ran"], ["O", "U-animal", "O"]),
+]
+
+
+def repeated_surface_model():
+    table, inv = tiny_embeddings()
+    rng = np.random.default_rng(11)
+    table = EmbeddingTable(table.words, table.vectors,
+                           bucket_vectors=rng.normal(size=(64, table.dim)).astype(np.float32))
+    ls = build_ls_table(VOCAB, table, inv)
+    sents = [Sentence.from_words(w, tags=t) for w, t in REPEATS]
+    charset = sorted({c for s in sents for tok in s.tokens for c in tok.surface})
+    model = TaggerModel.build(tiny_config(), ["O", "U-animal"], charset,
+                              pretrained=table, ls_table=ls)
+    return model, sents, ls
+
+
+class TestRepeatedSurfaces:
+    def test_emissions_match_one_sentence_at_a_time(self):
+        model, sents, ls = repeated_surface_model()
+        assert "foxes" not in ls and np.any(ls.vector("foxes") != 0.0)  # subword fallback
+        em, lengths = model.emissions(sents)
+        for b, s in enumerate(sents):
+            solo, _ = model.emissions([s])
+            np.testing.assert_allclose(em[: lengths[b], b], solo[:, 0], rtol=1e-12, atol=1e-12)
+
+    def test_one_ls_lookup_per_distinct_surface(self, monkeypatch):
+        model, sents, ls = repeated_surface_model()
+        seen = []
+        lookup = ls.vector
+
+        def counted(word):
+            seen.append(word)
+            return lookup(word)
+
+        monkeypatch.setattr(ls, "vector", counted)
+        model.emissions(sents)
+        surfaces = [tok.surface for s in sents for tok in s.tokens]
+        assert sorted(seen) == sorted(set(surfaces))
+
+    def test_gradient_check(self):
+        model, sents, _ = repeated_surface_model()
+        report = gradient_check(model, sents)
+        assert {"char_emb", "char_fwd.wx", "char_bwd.wh"} <= set(report)
+        for name, err in report.items():
+            assert err <= 1e-4, f"{name}: {err:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +463,17 @@ class TestCheckpoint:
         with pytest.raises(FormatError) as err:
             load_checkpoint(clipped, ls_table=ls)
         assert err.value.offset is not None
+
+    def test_non_finite_tensor_rejected_at_its_offset(self, tmp_path):
+        model, ls, sents, path = self.train_briefly(tmp_path)
+        raw = bytearray(path.read_bytes())
+        at = len(raw) - 4 * model.params["trans"].size  # trans is the last tensor
+        raw[at + 8 : at + 12] = np.float32(np.nan).tobytes()
+        bad = tmp_path / "nan.lxnr"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="'trans' has a non-finite value") as err:
+            load_checkpoint(bad, ls_table=ls)
+        assert err.value.offset == at + 8
 
     def test_gazetteer_round_trip(self, tmp_path):
         gaz = Gazetteer({"metalish": ["iron rust", "gold"]}, max_n=3)
