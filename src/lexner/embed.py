@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -76,7 +75,6 @@ class EmbedConfig:
     learning_rate: float = 0.025
     subsample_threshold: float = 1e-4
     seed: int = 1
-    workers: int = 1
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -91,8 +89,6 @@ class EmbedConfig:
             raise DataError("learning_rate must be positive")
         if self.subsample_threshold < 0:
             raise DataError("subsample_threshold must be non-negative")
-        if self.workers <= 0:
-            raise DataError("workers must be positive")
 
 
 class EmbeddingTable:
@@ -269,7 +265,6 @@ class _Trainer:
 
         self.total_tokens = int(sum(len(l) for l in self.lines)) * cfg.epochs
         self.processed = 0
-        self.processed_lock = threading.Lock()
         self.epoch_losses: list[float] = []
 
     def _lr(self) -> float:
@@ -286,8 +281,7 @@ class _Trainer:
 
     def _train_line(self, rng: np.random.Generator, ids: np.ndarray) -> tuple[float, int]:
         cfg = self.cfg
-        with self.processed_lock:
-            self.processed += len(ids)
+        self.processed += len(ids)
         if len(ids) == 0:
             return 0.0, 0
         kept = ids[rng.random(len(ids)) < self.keep_prob[ids]]
@@ -331,33 +325,13 @@ class _Trainer:
     def run(self) -> None:
         cfg = self.cfg
         for epoch in range(cfg.epochs):
-            if cfg.workers <= 1:
-                rng = np.random.default_rng((cfg.seed, epoch))
-                loss = 0.0
-                pairs = 0
-                for ids in self.lines:
-                    l, p = self._train_line(rng, ids)
-                    loss += l
-                    pairs += p
-            else:
-                # hogwild: threads share the matrices, updates race benignly
-                chunks = [self.lines[i :: cfg.workers] for i in range(cfg.workers)]
-                totals = [[0.0, 0] for _ in chunks]
-
-                def work(tid: int) -> None:
-                    trng = np.random.default_rng((cfg.seed, epoch, tid))
-                    for ids in chunks[tid]:
-                        l, p = self._train_line(trng, ids)
-                        totals[tid][0] += l
-                        totals[tid][1] += p
-
-                threads = [threading.Thread(target=work, args=(t,)) for t in range(len(chunks))]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-                loss = sum(t[0] for t in totals)
-                pairs = sum(t[1] for t in totals)
+            rng = np.random.default_rng((cfg.seed, epoch))
+            loss = 0.0
+            pairs = 0
+            for ids in self.lines:
+                l, p = self._train_line(rng, ids)
+                loss += l
+                pairs += p
             mean = loss / pairs if pairs else 0.0
             if not math.isfinite(mean):
                 raise NumericalError(f"non-finite training loss in epoch {epoch}")
@@ -367,8 +341,7 @@ class _Trainer:
 def train_skipgram(lines: Iterable[str], config: EmbedConfig | None = None) -> EmbeddingTable:
     """Train input vectors for every vocabulary word and n-gram bucket.
 
-    Deterministic for a fixed config and seed when workers == 1; with more
-    workers the shared updates race benignly and results vary slightly.
+    Deterministic: a fixed config and seed give bitwise-identical vectors.
     """
     cfg = config or EmbedConfig()
     trainer = _Trainer(list(lines), cfg)

@@ -28,11 +28,8 @@ def crf_log_partition(emissions: np.ndarray, transitions: np.ndarray) -> float:
     if transitions.shape != (L + 2, L + 2):
         raise DataError(
             f"transition matrix {transitions.shape} does not fit {L} tags")
-    start, stop = L, L + 1
-    alpha = transitions[start, :L] + emissions[0]
-    for t in range(1, T):
-        alpha = logsumexp(alpha[:, None] + transitions[:L, :L], axis=0) + emissions[t]
-    return float(logsumexp(alpha + transitions[:L, stop]))
+    logz, _ = crf_forward_batched(emissions[:, None], np.array([T]), transitions)
+    return float(logz[0])
 
 
 def path_score(emissions: np.ndarray, transitions: np.ndarray, path: np.ndarray) -> float:
@@ -44,40 +41,52 @@ def path_score(emissions: np.ndarray, transitions: np.ndarray, path: np.ndarray)
     return float(s + transitions[path[-1], stop])
 
 
+def viterbi_decode_batched(
+    emissions: np.ndarray,
+    lengths: np.ndarray,
+    transitions: np.ndarray,
+    allowed: np.ndarray | None = None,
+) -> tuple[list[list[int]], np.ndarray]:
+    """Best-scoring path of every sentence in a (T, B, L) batch.
+
+    Positions at or past a sentence's length are ignored. Ties break toward
+    the lowest tag index. `allowed` is an optional (L+2, L+2) boolean
+    matrix; forbidden moves score -inf and can never appear in the result.
+    Returns (one tag-id path per sentence, path scores (B,)).
+    """
+    T, B, L = emissions.shape
+    if T < 1 or np.any(lengths < 1):
+        raise DataError("cannot decode an empty sentence")
+    start, stop = L, L + 1
+    trans = transitions if allowed is None else np.where(allowed, transitions, -np.inf)
+    best = trans[start, :L] + emissions[0]  # (B, L)
+    back = np.zeros((T, B, L), dtype=np.intp)
+    for t in range(1, T):
+        scores = best[:, :, None] + trans[None, :L, :L]  # (B, from, to)
+        # argmax returns the first (lowest-index) maximizer
+        back[t] = np.argmax(scores, axis=1)
+        best = np.where((t < lengths)[:, None], scores.max(axis=1) + emissions[t], best)
+    final = best + trans[:L, stop]
+    last = np.argmax(final, axis=1)
+    score = final[np.arange(B), last]
+    paths = np.empty((T, B), dtype=np.intp)
+    tag = last
+    for t in range(T - 1, -1, -1):
+        # a sentence's own last position restarts its trace from `last`
+        paths[t] = tag = np.where(t == lengths - 1, last, tag)
+        tag = back[t, np.arange(B), tag]
+    return [paths[:n, b].tolist() for b, n in enumerate(lengths)], score
+
+
 def viterbi_decode(
     emissions: np.ndarray,
     transitions: np.ndarray,
     allowed: np.ndarray | None = None,
 ) -> tuple[list[int], float]:
-    """Best-scoring path; ties break toward the lowest tag index.
-
-    `allowed` is an optional (L+2, L+2) boolean matrix; forbidden moves
-    score -inf and can never appear in the result.
-    """
-    T, L = emissions.shape
-    if T < 1:
-        raise DataError("cannot decode an empty sentence")
-    start, stop = L, L + 1
-    trans = transitions.astype(np.float64, copy=True)
-    if allowed is not None:
-        trans = np.where(allowed, trans, -np.inf)
-    best = trans[start, :L] + emissions[0]
-    back: list[np.ndarray] = []
-    for t in range(1, T):
-        scores = best[:, None] + trans[:L, :L]
-        # argmax returns the first (lowest-index) maximizer
-        ptr = np.argmax(scores, axis=0)
-        back.append(ptr)
-        best = scores[ptr, np.arange(L)] + emissions[t]
-    final = best + trans[:L, stop]
-    tag = int(np.argmax(final))
-    score = float(final[tag])
-    path = [tag]
-    for ptr in reversed(back):
-        tag = int(ptr[tag])
-        path.append(tag)
-    path.reverse()
-    return path, score
+    """Best-scoring path of one (T, L) sentence; see viterbi_decode_batched."""
+    paths, score = viterbi_decode_batched(
+        emissions[:, None], np.array([len(emissions)]), transitions, allowed)
+    return paths[0], float(score[0])
 
 
 def crf_forward_batched(

@@ -14,9 +14,16 @@ projection x @ wx + b is one (T*B, D) @ (D, 4H) product before the loop,
 and the backward pass collects the pre-activation gradients of every step
 so that dx, d_wx, d_wh and d_b are one product (or sum) each after it.
 
-The forward cache is a dict of time-major arrays: "x" (T, B, D), "real"
-(T, B, 1) bool, "h" and "c" (T, B, H) holding the carried states after each
-step, "gates" (T, B, 4H) holding the activated i/f/g/o and "tanh_c" (T, B, H)
+Both kernels also take one leading stack axis: x (S, T, B, D) with wx
+(S, D, 4H), wh (S, H, 4H) and b (S, 4H) runs S independent recurrences (the
+two directions of a BiLSTM) over one shared (T, B) mask, so they share each
+step's numpy-call overhead. Inputs, outputs and gradients then carry S in
+front; inside, per-step arrays are (T, S, B, .) so each step's slice is
+contiguous.
+
+The forward cache is a dict: "x" as given, "real" (T, B, 1) bool, "h" and
+"c" (T, [S,] B, H) holding the carried states after each step, "gates"
+(T, [S,] B, 4H) holding the activated i/f/g/o and "tanh_c" (T, [S,] B, H)
 holding tanh of the candidate cell state.
 """
 from __future__ import annotations
@@ -39,42 +46,54 @@ def init_lstm_params(rng: np.random.Generator, input_dim: int, hidden: int) -> d
     }
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh saturates to exactly +-1 instead of overflowing, so no masks
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # 0.5 * (1 + tanh(x / 2)) in place; tanh saturates to exactly +-1
+    # instead of overflowing, so no masks
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def lstm_forward(
     params: dict[str, np.ndarray], x: np.ndarray, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Run the recurrence over a (T, B, D) batch.
+    """Run the recurrence over a (T, B, D) or stacked (S, T, B, D) batch.
 
-    Returns (h_seq (T, B, H), h_final (B, H), c_final (B, H), cache).
-    Initial states are zero. With T == 0 everything is empty/zero.
+    Returns (h_seq (T, B, H), h_final (B, H), c_final (B, H), cache), each
+    with the stack axis in front when x has one. Initial states are zero.
+    With T == 0 everything is empty/zero.
     """
-    T, B, D = x.shape
+    *stack, T, B, D = x.shape
     wh = params["wh"]
-    H = wh.shape[0]
+    H = wh.shape[-2]
     real = np.ones((T, B, 1), dtype=bool) if mask is None else mask[:, :, None] != 0
-    a_x = (x.reshape(T * B, D) @ params["wx"] + params["b"]).reshape(T, B, 4 * H)
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    h_seq = np.empty((T, B, H))
-    c_seq = np.empty((T, B, H))
-    gates = np.empty((T, B, 4 * H))
-    tanh_c = np.empty((T, B, H))
+    a_x = x.reshape(*stack, T * B, D) @ params["wx"] + params["b"][..., None, :]
+    a_x = _swap_time(a_x.reshape(*stack, T, B, 4 * H)).copy()
+    h = np.zeros((*stack, B, H))
+    c = np.zeros((*stack, B, H))
+    h_seq, c_seq, tanh_c = (np.empty((T, *stack, B, H)) for _ in range(3))
+    gates = np.empty((T, *stack, B, 4 * H))
     for t in range(T):
-        a = a_x[t] + h @ wh
-        act = gates[t]
-        act[:] = _sigmoid(a)
-        i, f, g, o = act[:, :H], act[:, H : 2 * H], act[:, 2 * H : 3 * H], act[:, 3 * H :]
-        g[:] = np.tanh(a[:, 2 * H : 3 * H])
-        c_cand = f * c + i * g
-        tanh_c[t] = np.tanh(c_cand)
-        h = h_seq[t] = np.where(real[t], o * tanh_c[t], h)
-        c = c_seq[t] = np.where(real[t], c_cand, c)
+        a = h @ wh
+        a += a_x[t]
+        act = _sigmoid(a, out=gates[t])
+        i, f, g, o = act[..., :H], act[..., H : 2 * H], act[..., 2 * H : 3 * H], act[..., 3 * H :]
+        np.tanh(a[..., 2 * H : 3 * H], out=g)
+        c_cand = f * c
+        c_cand += i * g
+        np.tanh(c_cand, out=tanh_c[t])
+        h_seq[t] = np.where(real[t], o * tanh_c[t], h)
+        c_seq[t] = np.where(real[t], c_cand, c)
+        h, c = h_seq[t], c_seq[t]
     cache = {"x": x, "real": real, "h": h_seq, "c": c_seq, "gates": gates, "tanh_c": tanh_c}
-    return h_seq, h, c, cache
+    return _swap_time(h_seq), h, c, cache
+
+
+def _swap_time(a: np.ndarray) -> np.ndarray:
+    """View of a (S, T, B, K) array as (T, S, B, K) and back; (T, B, K) as is."""
+    return np.swapaxes(a, 0, -3)
 
 
 def _shift_in_zero(seq: np.ndarray) -> np.ndarray:
@@ -91,51 +110,55 @@ def lstm_backward(
     dh_final: np.ndarray | None = None,
     dc_final: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Backprop through lstm_forward.
+    """Backprop through lstm_forward, stacked or not.
 
     dh_seq matches h_seq (may be None when only the final state feeds the
     loss); dh_final/dc_final inject gradients arriving at the last carried
-    states. Returns (dx (T, B, D), parameter gradients).
+    states. Returns (dx (T, B, D), parameter gradients), with the stack
+    axis in front as in the forward call.
     """
     wx, wh = params["wx"], params["wh"]
     x, real, gates, tanh_c = cache["x"], cache["real"], cache["gates"], cache["tanh_c"]
-    T, B, D = x.shape
-    H = wh.shape[0]
+    *stack, T, B, D = x.shape
+    H = wh.shape[-2]
     h_prev = _shift_in_zero(cache["h"])
     c_prev = _shift_in_zero(cache["c"])
-    i, f, g, o = (gates[:, :, k * H : (k + 1) * H] for k in range(4))
+    i, f, g, o = (gates[..., k * H : (k + 1) * H] for k in range(4))
     # Per-step factors that do not depend on the incoming gradient. Step t's
     # pre-activation gradient is [dc*i', dc*f', dc*g', dh*o'] times these.
     do_dc = o * (1.0 - tanh_c ** 2)
     local = np.empty_like(gates)
-    local[:, :, :H] = g * (i * (1.0 - i))
-    local[:, :, H : 2 * H] = c_prev * (f * (1.0 - f))
-    local[:, :, 2 * H : 3 * H] = i * (1.0 - g ** 2)
-    local[:, :, 3 * H :] = tanh_c * (o * (1.0 - o))
-    local = local.reshape(T, B, 4, H)
+    local[..., :H] = g * (i * (1.0 - i))
+    local[..., H : 2 * H] = c_prev * (f * (1.0 - f))
+    local[..., 2 * H : 3 * H] = i * (1.0 - g ** 2)
+    local[..., 3 * H :] = tanh_c * (o * (1.0 - o))
+    local = local.reshape(T, *stack, B, 4, H)
 
-    da = np.empty((T, B, 4, H))
-    dh = np.zeros((B, H)) if dh_final is None else dh_final.copy()
-    dc = np.zeros((B, H)) if dc_final is None else dc_final.copy()
+    dh_seq = None if dh_seq is None else _swap_time(dh_seq)
+    da = np.empty((T, *stack, B, 4, H))
+    dh = np.zeros((*stack, B, H)) if dh_final is None else dh_final.copy()
+    dc = np.zeros((*stack, B, H)) if dc_final is None else dc_final.copy()
+    wh_t = np.swapaxes(wh, -1, -2)
     for t in range(T - 1, -1, -1):
         if dh_seq is not None:
             dh = dh + dh_seq[t]
         dh_cand = np.where(real[t], dh, 0.0)
         dc_total = np.where(real[t], dc, 0.0) + dh_cand * do_dc[t]
         da_t = da[t]
-        da_t[:, :3] = dc_total[:, None, :]
-        da_t[:, 3] = dh_cand
+        da_t[..., :3, :] = dc_total[..., None, :]
+        da_t[..., 3, :] = dh_cand
         da_t *= local[t]
         dc = np.where(real[t], dc_total * f[t], dc)
-        dh = np.where(real[t], da_t.reshape(B, 4 * H) @ wh.T, dh)
+        dh = np.where(real[t], da_t.reshape(*stack, B, 4 * H) @ wh_t, dh)
 
-    da = da.reshape(T * B, 4 * H)
+    da = _swap_time(da.reshape(T, *stack, B, 4 * H)).reshape(*stack, T * B, 4 * H)
+    h_prev = _swap_time(h_prev).reshape(*stack, T * B, H)
     grads = {
-        "wx": x.reshape(T * B, D).T @ da,
-        "wh": h_prev.reshape(T * B, H).T @ da,
-        "b": da.sum(axis=0),
+        "wx": np.swapaxes(x.reshape(*stack, T * B, D), -1, -2) @ da,
+        "wh": np.swapaxes(h_prev, -1, -2) @ da,
+        "b": da.sum(axis=-2),
     }
-    dx = (da @ wx.T).reshape(T, B, D)
+    dx = (da @ np.swapaxes(wx, -1, -2)).reshape(*stack, T, B, D)
     return dx, grads
 
 

@@ -27,7 +27,7 @@ from ..lexsim import LSTable
 from .crf import (
     bilou_allowed_transitions,
     crf_nll_and_grad,
-    viterbi_decode,
+    viterbi_decode_batched,
 )
 from .gazetteer import Gazetteer, gazetteer_features
 from .lstm import glorot, init_lstm_params, lstm_backward, lstm_forward, reverse_padded
@@ -184,6 +184,35 @@ class TaggerModel:
     def char_ids(self, surface: str) -> list[int]:
         return [self.char_index.get(c, 0) for c in surface]
 
+    def _bilstm(
+        self, prefix: str, x: np.ndarray, lengths: np.ndarray, mask: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, dict]:
+        """`{prefix}_fwd` over x and `{prefix}_bwd` over x reversed within
+        `lengths`, as one stacked recurrence.
+
+        x is (T, B, D) in reading order. Returns h_seq (2, T, B, H) and
+        h_final (2, B, H), direction 1 in its own (reversed) time order,
+        plus the context for `_bilstm_backward`.
+        """
+        p = {k: np.array((self.params[f"{prefix}_fwd.{k}"], self.params[f"{prefix}_bwd.{k}"]))
+             for k in ("wx", "wh", "b")}
+        h_seq, h_final, _, cache = lstm_forward(p, np.array((x, reverse_padded(x, lengths))), mask)
+        return h_seq, h_final, {"prefix": prefix, "params": p, "cache": cache, "lengths": lengths}
+
+    def _bilstm_backward(
+        self, ctx: dict, grads: dict, dh_seq: np.ndarray | None, dh_final: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Backprop through `_bilstm`, gradients in the layout it returned.
+
+        Adds the parameter gradients into `grads` under the fwd/bwd keys and
+        returns dx (T, B, D) in reading order.
+        """
+        dx, g = lstm_backward(ctx["params"], ctx["cache"], dh_seq, dh_final=dh_final)
+        for k, v in g.items():
+            grads[f"{ctx['prefix']}_fwd.{k}"] += v[0]
+            grads[f"{ctx['prefix']}_bwd.{k}"] += v[1]
+        return dx[0] + reverse_padded(dx[1], ctx["lengths"])
+
     def _char_reps(self, words: list[str]) -> tuple[np.ndarray, dict]:
         """BiLSTM over the characters of each word.
 
@@ -200,31 +229,14 @@ class TaggerModel:
             cids[: len(w), j] = self.char_ids(w)
         cmask = (np.arange(lmax)[:, None] < clens[None, :]).astype(np.float64)
         emb = self.params["char_emb"][cids]  # (lmax, n, char_emb_dim)
-        fwd_p = {k: self.params[f"char_fwd.{k}"] for k in ("wx", "wh", "b")}
-        bwd_p = {k: self.params[f"char_bwd.{k}"] for k in ("wx", "wh", "b")}
-        emb_rev = reverse_padded(emb, clens)
-        _, hf, _, cache_f = lstm_forward(fwd_p, emb, cmask)
-        _, hb, _, cache_b = lstm_forward(bwd_p, emb_rev, cmask)
-        reps = np.concatenate([hf, hb], axis=1)
-        ctx = {
-            "n": n, "cids": cids, "clens": clens, "cmask": cmask,
-            "cache_f": cache_f, "cache_b": cache_b,
-            "fwd_p": fwd_p, "bwd_p": bwd_p,
-        }
-        return reps, ctx
+        _, h_final, bictx = self._bilstm("char", emb, clens, cmask)
+        return np.concatenate(h_final, axis=1), {"n": n, "cids": cids, "cmask": cmask, "bilstm": bictx}
 
     def _char_backward(self, d_reps: np.ndarray, ctx: dict, grads: dict) -> None:
         if ctx["n"] == 0:
             return
-        hc = self.config.char_hidden
-        dxf, gf = lstm_backward(ctx["fwd_p"], ctx["cache_f"], None,
-                                dh_final=d_reps[:, :hc])
-        dxb_rev, gb = lstm_backward(ctx["bwd_p"], ctx["cache_b"], None,
-                                    dh_final=d_reps[:, hc:])
-        for k in ("wx", "wh", "b"):
-            grads[f"char_fwd.{k}"] += gf[k]
-            grads[f"char_bwd.{k}"] += gb[k]
-        dxe = dxf + reverse_padded(dxb_rev, ctx["clens"])
+        d_final = np.array(np.split(d_reps, 2, axis=1))
+        dxe = self._bilstm_backward(ctx["bilstm"], grads, None, dh_final=d_final)
         real = ctx["cmask"].astype(bool)
         np.add.at(grads["char_emb"], ctx["cids"][real], dxe[real])
 
@@ -297,15 +309,10 @@ class TaggerModel:
     def _word_bilstm(
         self, x: np.ndarray, lengths: np.ndarray, mask: np.ndarray
     ) -> tuple[np.ndarray, dict]:
-        fwd_p = {k: self.params[f"word_fwd.{k}"] for k in ("wx", "wh", "b")}
-        bwd_p = {k: self.params[f"word_bwd.{k}"] for k in ("wx", "wh", "b")}
-        x_rev = reverse_padded(x, lengths)
-        hf_seq, _, _, cache_f = lstm_forward(fwd_p, x, mask)
-        hb_seq_rev, _, _, cache_b = lstm_forward(bwd_p, x_rev, mask)
-        hb_seq = reverse_padded(hb_seq_rev, lengths)
-        h = np.concatenate([hf_seq, hb_seq], axis=2)
-        return h, {"cache_f": cache_f, "cache_b": cache_b,
-                   "fwd_p": fwd_p, "bwd_p": bwd_p}
+        """Word BiLSTM states (T, B, 2*word_hidden), both halves in reading order."""
+        h_seq, _, bictx = self._bilstm("word", x, lengths, mask)
+        h = np.concatenate([h_seq[0], reverse_padded(h_seq[1], lengths)], axis=2)
+        return h, bictx
 
     def nll_and_gradients(
         self,
@@ -365,14 +372,8 @@ class TaggerModel:
             dh = dh * drop_out_mask
 
         hc = cfg.word_hidden
-        dh_fwd = dh[:, :, :hc]
-        dh_bwd_rev = reverse_padded(dh[:, :, hc:], lengths)
-        dx_f, gf = lstm_backward(wctx["fwd_p"], wctx["cache_f"], dh_fwd)
-        dx_b_rev, gb = lstm_backward(wctx["bwd_p"], wctx["cache_b"], dh_bwd_rev)
-        for k in ("wx", "wh", "b"):
-            grads[f"word_fwd.{k}"] = gf[k]
-            grads[f"word_bwd.{k}"] = gb[k]
-        dx = dx_f + reverse_padded(dx_b_rev, lengths)
+        dh_seq = np.array((dh[:, :, :hc], reverse_padded(dh[:, :, hc:], lengths)))
+        dx = self._bilstm_backward(wctx, grads, dh_seq)
         if drop_in is not None:
             dx = dx * drop_in
 
@@ -406,21 +407,14 @@ class TaggerModel:
         return em, lengths
 
     def tag_batch(self, batch: list[Sentence]) -> list[list[str]]:
-        if not batch:
-            return []
         nonempty = [s for s in batch if len(s) > 0]
-        out: dict[int, list[str]] = {}
-        if nonempty:
-            em, lengths = self.emissions(nonempty)
-            allowed = self.allowed if self.config.mask_decode else None
-            k = 0
-            for i, s in enumerate(batch):
-                if len(s) == 0:
-                    continue
-                path, _ = viterbi_decode(em[: lengths[k], k], self.params["trans"], allowed)
-                out[i] = [self.tags[j] for j in path]
-                k += 1
-        return [out.get(i, []) for i in range(len(batch))]
+        if not nonempty:
+            return [[] for _ in batch]
+        em, lengths = self.emissions(nonempty)
+        allowed = self.allowed if self.config.mask_decode else None
+        paths, _ = viterbi_decode_batched(em, lengths, self.params["trans"], allowed)
+        tagged = iter(paths)
+        return [[self.tags[j] for j in next(tagged)] if len(s) > 0 else [] for s in batch]
 
     def tag(self, sentence: Sentence) -> list[str]:
         return self.tag_batch([sentence])[0]

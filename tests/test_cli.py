@@ -67,6 +67,11 @@ class TestConfigParsing:
         with pytest.raises(UsageError):
             parse_config_text(line, PipelineConfig())
 
+    def test_embed_workers_is_unknown(self):
+        # the threaded trainer is gone; training is single-threaded only
+        with pytest.raises(UsageError, match="unknown config key: 'embed.workers'"):
+            parse_config_text("embed.workers = 2", PipelineConfig())
+
     def test_type_errors_name_the_key(self):
         with pytest.raises(UsageError, match="embed.dim"):
             parse_config_text("embed.dim = wide", PipelineConfig())

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexner.errors import DataError
 from lexner.tagger.crf import (
@@ -11,7 +13,10 @@ from lexner.tagger.crf import (
     crf_nll_and_grad,
     path_score,
     viterbi_decode,
+    viterbi_decode_batched,
 )
+
+BILOU_X = ["B-X", "I-X", "L-X", "O", "U-X"]
 
 
 def brute_force_logz(em: np.ndarray, trans: np.ndarray) -> float:
@@ -30,6 +35,31 @@ def brute_force_best(em: np.ndarray, trans: np.ndarray) -> tuple[list[int], floa
         if s > best_s:
             best_p, best_s = list(p), s
     return best_p, best_s
+
+
+def ref_viterbi(emissions, transitions, allowed=None):
+    """The per-sentence step-loop decoder: one argmax per step, then backtrack."""
+    T, L = emissions.shape
+    start, stop = L, L + 1
+    trans = transitions.astype(np.float64, copy=True)
+    if allowed is not None:
+        trans = np.where(allowed, trans, -np.inf)
+    best = trans[start, :L] + emissions[0]
+    back = []
+    for t in range(1, T):
+        scores = best[:, None] + trans[:L, :L]
+        ptr = np.argmax(scores, axis=0)
+        back.append(ptr)
+        best = scores[ptr, np.arange(L)] + emissions[t]
+    final = best + trans[:L, stop]
+    tag = int(np.argmax(final))
+    score = float(final[tag])
+    path = [tag]
+    for ptr in reversed(back):
+        tag = int(ptr[tag])
+        path.append(tag)
+    path.reverse()
+    return path, score
 
 
 class TestLogPartition:
@@ -119,6 +149,51 @@ class TestViterbi:
             em = rng.normal(size=(1, 5)) * 5
             path, _ = viterbi_decode(em, np.zeros((7, 7)), allowed)
             assert tags[path[0]] in ("O", "U-X")
+
+
+    def test_rejects_empty(self):
+        with pytest.raises(DataError):
+            viterbi_decode(np.zeros((0, 3)), np.zeros((5, 5)))
+
+
+class TestViterbiBatched:
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=6), st.integers(0, 2),
+           st.integers(2, 5), st.booleans(), st.booleans(), st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, lengths, pad, L, ties, bilou, seed):
+        rng = np.random.default_rng(seed)
+        if bilou:
+            L = len(BILOU_X)
+        allowed = bilou_allowed_transitions(BILOU_X) if bilou else None
+        T, B = max(lengths) + pad, len(lengths)
+        if ties:  # small integers: many equal-scoring paths
+            em = rng.integers(-2, 3, size=(T, B, L)).astype(float)
+            trans = rng.integers(-1, 2, size=(L + 2, L + 2)).astype(float)
+        else:
+            em = rng.normal(size=(T, B, L))
+            trans = rng.normal(size=(L + 2, L + 2))
+        paths, scores = viterbi_decode_batched(em, np.array(lengths), trans, allowed)
+        assert scores.shape == (B,)
+        for b, n in enumerate(lengths):
+            path, score = ref_viterbi(em[:n, b], trans, allowed)
+            assert paths[b] == path
+            assert scores[b] == score
+
+    def test_padding_values_are_ignored(self):
+        rng = np.random.default_rng(4)
+        em = rng.normal(size=(5, 2, 3))
+        trans = rng.normal(size=(5, 5))
+        lengths = np.array([5, 2])
+        paths, scores = viterbi_decode_batched(em, lengths, trans)
+        em[2:, 1] = 1e6
+        assert viterbi_decode_batched(em, lengths, trans)[0] == paths
+        assert len(paths[1]) == 2
+
+    @pytest.mark.parametrize("lengths, T", [([2, 0], 2), ([], 0), ([1], 0)])
+    def test_rejects_empty(self, lengths, T):
+        with pytest.raises(DataError):
+            viterbi_decode_batched(np.zeros((T, len(lengths), 3)), np.array(lengths, dtype=int),
+                                   np.zeros((5, 5)))
 
 
 class TestBilouMask:

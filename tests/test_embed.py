@@ -179,10 +179,6 @@ class TestTraining:
         with pytest.raises(DataError):
             train_skipgram(["one two", "three four"], small_config(min_count=50))
 
-    def test_multi_worker_runs(self):
-        table = train_skipgram(tiny_corpus(), small_config(workers=2, epochs=1))
-        assert np.all(np.isfinite(table.vectors))
-
 
 class TestWordVector:
     def setup_method(self):

@@ -314,6 +314,51 @@ class TestMatchesPerStepReference:
         check_against_reference(lengths, max(lengths) + pad, d=3, h=2, seed=seed)
 
 
+# ---------------------------------------------------------------------------
+# stacked directions
+# ---------------------------------------------------------------------------
+
+def check_stacked(lengths, T, d=5, h=4, seed=0):
+    """One stacked call over two parameter sets equals two separate calls."""
+    rng = np.random.default_rng(seed)
+    ps = [make_params(rng, d, h) for _ in range(2)]
+    stacked = {k: np.stack([ps[0][k], ps[1][k]]) for k in ps[0]}
+    B = len(lengths)
+    x = rng.normal(size=(2, T, B, d))
+    mask = (np.arange(T)[:, None] < np.array(lengths)[None, :]).astype(float)
+    dh_seq = rng.normal(size=(2, T, B, h))
+    dh_fin, dc_fin = rng.normal(size=(2, B, h)), rng.normal(size=(2, B, h))
+
+    h_seq, h_fin, c_fin, cache = lstm_forward(stacked, x, mask)
+    dx, grads = lstm_backward(stacked, cache, dh_seq, dh_final=dh_fin, dc_final=dc_fin)
+    assert h_seq.shape == (2, T, B, h) and dx.shape == x.shape
+    for s in range(2):
+        s_seq, s_fin, s_c, s_cache = lstm_forward(ps[s], x[s], mask)
+        for got, want in ((h_seq[s], s_seq), (h_fin[s], s_fin), (c_fin[s], s_c)):
+            assert_close(got, want)
+        s_dx, s_grads = lstm_backward(ps[s], s_cache, dh_seq[s],
+                                      dh_final=dh_fin[s], dc_final=dc_fin[s])
+        assert_close(dx[s], s_dx)
+        for k in ("wx", "wh", "b"):
+            assert_close(grads[k][s], s_grads[k])
+
+
+class TestStackedDirections:
+    @pytest.mark.parametrize("lengths, T", [
+        ([7, 3, 1, 5], 7),   # ragged
+        ([4], 4),            # B = 1
+        ([2, 0, 3], 3),      # an all-padding column
+        ([0, 0], 0),         # T = 0
+    ])
+    def test_matches_two_calls(self, lengths, T):
+        check_stacked(lengths, T)
+
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=5), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_random_ragged(self, lengths, seed):
+        check_stacked(lengths, max(lengths), d=3, h=2, seed=seed)
+
+
 class TestSigmoid:
     def test_matches_logistic(self):
         x = np.linspace(-40.0, 40.0, 160001)

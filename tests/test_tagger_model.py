@@ -388,6 +388,22 @@ class TestTagging:
         singles = [model.tag(s) for s in sents[:4]]
         assert batched == singles
 
+    @pytest.mark.parametrize("mask_decode", [True, False])
+    def test_ragged_batch_with_empty_and_one_token_sentences(self, mask_decode):
+        model, sents, _ = build_tiny_model(mask_decode=mask_decode)
+        rng = np.random.default_rng(6)
+        # random scores, so the decoded paths are not all "O"
+        model.params["trans"] = rng.normal(size=model.params["trans"].shape) * 2
+        model.params["proj_w"] = rng.normal(size=model.params["proj_w"].shape) * 3
+        empty = Sentence.from_words([])
+        batch = ([empty, Sentence.from_words(["fox"])] + sents
+                 + [Sentence.from_words(["Gold"]), empty, empty, Sentence.from_words(["zzq"])])
+        singles = [model.tag(s) for s in batch]
+        assert model.tag_batch(batch) == singles
+        assert len({tuple(t) for t in singles}) > 4
+        assert model.tag_batch([]) == []
+        assert model.tag_batch([empty, empty]) == [[], []]
+
 
 # ---------------------------------------------------------------------------
 # gazetteer features
