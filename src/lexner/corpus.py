@@ -435,6 +435,9 @@ def validate_tags(tags: Sequence[str], scheme: TagScheme) -> None:
 # Capitalization classes
 # ---------------------------------------------------------------------------
 
+_ASCII_DIGITS = frozenset("0123456789")
+
+
 def capitalization_class(token: Token | str) -> CapClass:
     """Classify a token into exactly one orthographic shape class.
 
@@ -442,6 +445,15 @@ def capitalization_class(token: Token | str) -> CapClass:
     letters; then the four letter-case classes.
     """
     s = token.surface if isinstance(token, Token) else token
+    if s.isascii():
+        # every ASCII letter is cased, so whole-string case tests decide it
+        if s.islower():
+            return CapClass.ALL_LOWER
+        if s.isupper():
+            return CapClass.ALL_UPPER
+        if s.lower() == s:  # no letters at all
+            return CapClass.NO_ALPHANUM if _ASCII_DIGITS.isdisjoint(s) else CapClass.NUMERIC
+        return CapClass.UPPER_FIRST if s[0].isupper() else CapClass.UPPER_NOT_FIRST
     if not any(c.isalnum() for c in s):
         return CapClass.NO_ALPHANUM
     letters = [c for c in s if c.isalpha()]

@@ -12,7 +12,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,6 +62,91 @@ def char_ngrams(word: str, nmin: int = 3, nmax: int = 6) -> list[str]:
     return grams
 
 
+# marked code points per hashing chunk; bounds the memory of a batched pass
+_CHUNK_CHARS = 4096
+_UTF8_LEAD = np.array([0, 0, 0xC0, 0xE0, 0xF0], dtype=np.uint32)
+
+
+def _utf8_bytes(cp: np.ndarray) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """UTF-8 encoding of an array of code points, computed arithmetically.
+
+    Returns byte k of every code point for k below the longest encoding
+    (bytes past a code point's own length are garbage) and the lengths,
+    which are None when every code point is ASCII.
+    """
+    if cp.max() < 0x80:
+        return [cp], None
+    nbytes = 1 + (cp >= 0x80).astype(np.uint32) + (cp >= 0x800) + (cp >= 0x10000)
+    shift = 6 * (nbytes - 1)
+    out = [_UTF8_LEAD[nbytes] | (cp >> shift)]
+    for k in range(1, int(nbytes.max())):
+        out.append(0x80 | ((cp >> np.maximum(shift, 6 * k) - 6 * k) & 0x3F))
+    return out, nbytes
+
+
+def _hash_same_length(words: Sequence[str], nmin: int, nmax: int) -> np.ndarray:
+    """FNV-1a of every n-gram of words that share one length, in char_ngrams order.
+
+    One row per word. Column block n holds the hashes of the n-grams starting
+    at 0, 1, ...; the full form follows when it is not a regular n-gram.
+    """
+    marked = "".join(f"<{w}>" for w in words).encode("utf-32-le")
+    marked = np.frombuffer(marked, dtype="<u4").reshape(len(words), -1)
+    m = marked.shape[1]
+    seq, nbytes = _utf8_bytes(marked)
+    prime = np.uint32(FNV_PRIME)
+    h = np.full((len(words), m), FNV_OFFSET, dtype=np.uint32)
+    blocks = []
+    # after step k, h[:, i] is the hash of marked[i : i + k + 1]; past nmax
+    # only the full form starting at 0 is still being extended
+    for k in range(m):
+        width = m - k if k < nmax else 1
+        h = h[:, :width]
+        for j, byte in enumerate(seq):
+            stepped = h ^ byte[:, k : k + width]
+            stepped *= prime
+            h = stepped if j == 0 else np.where(nbytes[:, k : k + width] > j, stepped, h)
+        if nmin <= k + 1 <= nmax:
+            blocks.append(h)
+    if not nmin <= m <= nmax:
+        blocks.append(h[:, :1])
+    return np.concatenate(blocks, axis=1)
+
+
+def _ngram_id_chunks(
+    words: Sequence[str], bucket_count: int, nmin: int, nmax: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (positions, ids) for every word that has n-grams.
+
+    Words are grouped by length, so one chunk is a rectangular (B, G) block of
+    bucket ids with rows in char_ngrams order; a chunk holds at most
+    _CHUNK_CHARS marked characters (one word when a word is longer).
+    """
+    by_length: dict[int, list[int]] = {}
+    for i, w in enumerate(words):
+        if w and not is_type_token(w):
+            by_length.setdefault(len(w), []).append(i)
+    for length, positions in by_length.items():
+        step = max(1, _CHUNK_CHARS // (length + 2))
+        for s in range(0, len(positions), step):
+            part = positions[s : s + step]
+            hashes = _hash_same_length([words[i] for i in part], nmin, nmax)
+            yield np.array(part, dtype=np.int64), hashes.astype(np.int64) % bucket_count
+
+
+def ngram_bucket_ids(
+    words: Sequence[str], bucket_count: int, nmin: int = 3, nmax: int = 6
+) -> list[np.ndarray]:
+    """Bucket ids of each word's n-grams, equal to
+    [hash_ngram(g, bucket_count) for g in char_ngrams(w, nmin, nmax)],
+    computed for all words in one batched pass."""
+    out = [np.empty(0, dtype=np.int64)] * len(words)
+    for positions, ids in _ngram_id_chunks(words, bucket_count, nmin, nmax):
+        for p, row in zip(positions.tolist(), ids):
+            out[p] = row
+    return out
+
+
 @dataclass
 class EmbedConfig:
     dim: int = 100
@@ -94,7 +179,8 @@ class EmbedConfig:
 class EmbeddingTable:
     """Trained vectors: one row per vocabulary word plus n-gram buckets.
 
-    `word_vector` composes the query form used everywhere downstream:
+    `word_vectors` composes the query form used everywhere downstream
+    (`word_vector` is its one-word case):
 
     * in-vocabulary word: stored row plus the mean of its n-gram buckets
     * out-of-vocabulary word: mean of its n-gram buckets alone
@@ -132,7 +218,6 @@ class EmbeddingTable:
         self.seed = seed
         self.counts = None if counts is None else list(counts)
         self.epoch_losses: list[float] = []
-        self._bucket_id_cache: dict[str, np.ndarray] = {}
 
     @property
     def dim(self) -> int:
@@ -151,34 +236,30 @@ class EmbeddingTable:
         """Hashed bucket ids for a word's n-grams (with multiplicity)."""
         if self.bucket_vectors is None:
             return np.empty(0, dtype=np.int64)
-        cached = self._bucket_id_cache.get(word)
-        if cached is None:
-            nbuckets = self.bucket_vectors.shape[0]
-            cached = np.array(
-                [hash_ngram(g, nbuckets) for g in char_ngrams(word, self.ngram_min, self.ngram_max)],
-                dtype=np.int64,
-            )
-            self._bucket_id_cache[word] = cached
-        return cached
+        return ngram_bucket_ids(
+            [word], self.bucket_vectors.shape[0], self.ngram_min, self.ngram_max
+        )[0]
 
     def word_vector(self, word: str) -> np.ndarray:
-        word = word.lower()
-        row = self.word_index.get(word)
-        if is_type_token(word):
-            if row is None:
-                return np.zeros(self.dim, dtype=np.float32)
-            return self.vectors[row].copy()
-        parts = []
-        if row is not None:
-            parts.append(self.vectors[row])
-        ids = self.bucket_ids(word)
-        if ids.size:
-            parts.append(self.bucket_vectors[ids].mean(axis=0))
-        if not parts:
-            return np.zeros(self.dim, dtype=np.float32)
-        out = parts[0].astype(np.float32, copy=True)
-        for p in parts[1:]:
-            out += p
+        return self.word_vectors([word])[0]
+
+    def word_vectors(self, words: Sequence[str]) -> np.ndarray:
+        """Composed vectors of many words at once, one float32 row per word.
+
+        Each n-gram mean is summed row by row in n-gram order and divided by
+        the count, exactly as bucket_vectors[ids].mean(axis=0) does, then
+        added to the word's stored row (or to zeros when it has none).
+        """
+        words = [w.lower() for w in words]
+        rows = np.array([self.word_index.get(w, -1) for w in words], dtype=np.int64)
+        known = rows >= 0
+        out = np.zeros((len(words), self.dim), dtype=np.float32)
+        out[known] = self.vectors[rows[known]]
+        if self.bucket_vectors is not None:
+            nbuckets = self.bucket_vectors.shape[0]
+            for pos, ids in _ngram_id_chunks(words, nbuckets, self.ngram_min, self.ngram_max):
+                # the float32 quotient equals mean()'s float64 one rounded to float32
+                out[pos] += self.bucket_vectors[ids].sum(axis=1) / ids.shape[1]
         return out
 
 
@@ -255,13 +336,7 @@ class _Trainer:
         self.vout = np.zeros((len(self.words), cfg.dim))
 
         # bucket ids per vocab word, fixed for the whole run
-        self.ngram_ids: list[np.ndarray] = [
-            np.array(
-                [hash_ngram(g, cfg.bucket_count) for g in char_ngrams(w, cfg.ngram_min, cfg.ngram_max)],
-                dtype=np.int64,
-            )
-            for w in self.words
-        ]
+        self.ngram_ids = ngram_bucket_ids(self.words, cfg.bucket_count, cfg.ngram_min, cfg.ngram_max)
 
         self.total_tokens = int(sum(len(l) for l in self.lines)) * cfg.epochs
         self.processed = 0

@@ -5,6 +5,13 @@ between the word's embedding and that type's embedding, MinMax-scaled to
 [-1, +1] across the word's own components. Tables are built offline over a
 fixed vocabulary; words outside it fall back to on-the-fly computation
 through the subword-composed embedding, scaled the same way.
+
+A build works through the vocabulary a chunk of words at a time: one
+batched subword composition (`EmbeddingTable.word_vectors`), one cosine
+product against the type matrix and one row-wise MinMax per chunk. The
+one-word paths (`ls_raw`, `top_k_types`, the `LSTable.vector` fallback)
+are the same code with one row, and every reduction runs along a single
+row, so a word gets the same bits whatever batch it is computed in.
 """
 from __future__ import annotations
 
@@ -37,29 +44,48 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 def _type_matrix(table: EmbeddingTable, inventory: TypeInventory) -> tuple[np.ndarray, np.ndarray]:
     """Stacked type embeddings and their norms; all labels must be known."""
-    rows = []
     for label in inventory:
         if label not in table.word_index:
             raise DataError(f"type embedding missing from table: {label!r}")
-        rows.append(table.word_vector(label))
-    t = np.asarray(np.stack(rows), dtype=np.float64)
-    return t, np.linalg.norm(t, axis=1)
+    t = table.word_vectors(inventory.labels).astype(np.float64)
+    return t, _row_norms(t)
 
 
-def _raw_against(word: str, table: EmbeddingTable, t: np.ndarray, tnorms: np.ndarray) -> np.ndarray:
-    v = np.asarray(table.word_vector(word), dtype=np.float64)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return np.zeros(t.shape[0])
-    denom = np.where(tnorms == 0.0, 1.0, tnorms * nv)
-    out = (t @ v) / denom
-    return np.where(tnorms == 0.0, 0.0, out)
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    # summed per row, so a row's norm does not depend on the rows beside it
+    return np.sqrt((m * m).sum(axis=1))
+
+
+def _profiles(
+    words: Sequence[str], table: EmbeddingTable, types: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Raw cosine profiles, one row per word; zero where either vector is zero.
+
+    Every product is reduced along its own row, so a word's profile is the
+    same whatever batch it is computed in.
+    """
+    t, tnorms = types
+    v = table.word_vectors(words).astype(np.float64)
+    dots = (v[:, None, :] * t).sum(axis=2)
+    norms = _row_norms(v)[:, None]
+    live = (norms != 0.0) & (tnorms != 0.0)
+    return np.divide(dots, norms * tnorms, out=np.zeros_like(dots), where=live)
+
+
+def _scaled(
+    words: Sequence[str], table: EmbeddingTable, types: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """LS vectors of words: each raw profile scaled as minmax_scale does, as float32 rows."""
+    raw = _profiles(words, table, types)
+    lo = raw.min(axis=1, keepdims=True)
+    span = raw.max(axis=1, keepdims=True) - lo
+    out = np.divide(2.0 * (raw - lo), span, out=np.zeros_like(raw), where=span != 0.0)
+    return np.subtract(out, 1.0, out=out, where=span != 0.0).astype(np.float32)
 
 
 def ls_raw(word: str, table: EmbeddingTable, inventory: TypeInventory) -> np.ndarray:
     """Unscaled cosine profile of a word against every inventory type."""
-    t, tnorms = _type_matrix(table, inventory)
-    return _raw_against(word, table, t, tnorms)
+    return _profiles([word], table, _type_matrix(table, inventory))[0]
 
 
 def minmax_scale(v: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -99,6 +125,8 @@ class LSTable:
             self.entries[w] = vec
         self.fallback = fallback
         self._type_cache: tuple[np.ndarray, np.ndarray] | None = None
+        # fallback vectors already computed, kept apart from the table's entries
+        self._fallback_vectors: dict[str, np.ndarray] = {}
 
     @property
     def dim(self) -> int:
@@ -113,15 +141,14 @@ class LSTable:
     def vector(self, word: str) -> np.ndarray:
         word = word.lower()
         hit = self.entries.get(word)
-        if hit is not None:
-            return hit
-        if self.fallback is not None:
-            if self._type_cache is None:
-                self._type_cache = _type_matrix(self.fallback, self.inventory)
-            t, tnorms = self._type_cache
-            raw = _raw_against(word, self.fallback, t, tnorms)
-            return minmax_scale(raw).astype(np.float32)
-        return np.zeros(self.dim, dtype=np.float32)
+        if hit is None and self.fallback is not None:
+            hit = self._fallback_vectors.get(word)
+            if hit is None:
+                if self._type_cache is None:
+                    self._type_cache = _type_matrix(self.fallback, self.inventory)
+                hit = _scaled([word], self.fallback, self._type_cache)[0]
+                self._fallback_vectors[word] = hit
+        return hit if hit is not None else np.zeros(self.dim, dtype=np.float32)
 
     def content_hash(self) -> str:
         """Order-sensitive digest of entries; stable across save/load."""
@@ -136,6 +163,11 @@ class LSTable:
         return h.hexdigest()
 
 
+# float64 values in one chunk's (words, types, dim) cosine product; bounds
+# the peak memory of a table build
+_LS_CHUNK_VALUES = 1 << 21
+
+
 def build_ls_table(
     vocab: Iterable[str], table: EmbeddingTable, inventory: TypeInventory
 ) -> LSTable:
@@ -143,15 +175,16 @@ def build_ls_table(
 
     Words are lowercased and deduplicated, first occurrence wins the
     position, so the table iterates (and serializes) in a stable order.
+    Profiles are computed a chunk of words at a time, each chunk with one
+    batched composition, one cosine product and one row-wise MinMax.
     """
-    t, tnorms = _type_matrix(table, inventory)
+    types = _type_matrix(table, inventory)
+    words = list(dict.fromkeys(w.lower() for w in vocab))
     out = LSTable(inventory, fallback=table)
-    for word in vocab:
-        word = word.lower()
-        if word in out.entries:
-            continue
-        raw = _raw_against(word, table, t, tnorms)
-        out.entries[word] = minmax_scale(raw).astype(np.float32)
+    step = max(1, _LS_CHUNK_VALUES // (len(inventory) * table.dim))
+    for s in range(0, len(words), step):
+        part = words[s : s + step]
+        out.entries.update(zip(part, _scaled(part, table, types)))
     return out
 
 
@@ -229,14 +262,24 @@ def load_ls_table(
         if len(raw) < 8:
             raise FormatError("truncated record count", at)
         (count,) = struct.unpack("<Q", raw)
-        table = LSTable(inventory)
+        words: list[str] = []
+        starts: list[int] = []
+        values: list[bytes] = []
         for i in range(count):
-            w = _read_str(fh, f"record {i} word")
+            starts.append(fh.tell())
+            words.append(_read_str(fh, f"record {i} word"))
             at = fh.tell()
             vec_raw = fh.read(dim * 4)
             if len(vec_raw) < dim * 4:
                 raise FormatError(f"truncated record {i} values", at + len(vec_raw))
-            table.entries[w] = np.frombuffer(vec_raw, dtype="<f4").copy()
+            values.append(vec_raw)
+        vectors = np.frombuffer(b"".join(values), dtype="<f4").reshape(count, dim)
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise FormatError(f"record {i} ({words[i]!r}) has a non-finite value", starts[i])
+        table = LSTable(inventory)
+        table.entries = dict(zip(words, vectors.astype(np.float32)))
         return table
 
 

@@ -302,6 +302,15 @@ class TestPipeline:
         assert "non-finite value" in capsys.readouterr().err
 
 
+    def test_tag_rejects_non_finite_ls_table(self, pipe, tmp_path, capsys):
+        raw = bytearray((pipe / "table.lstb").read_bytes())
+        raw[-4:] = np.float32(np.nan).tobytes()
+        bad = tmp_path / "nan.lstb"
+        bad.write_bytes(bytes(raw))
+        assert main(["tag", "--checkpoint", str(pipe / "model.ckpt"),
+                     "--input", str(pipe / "test.txt"), "--ls-table", str(bad)]) == 2
+        assert "non-finite value" in capsys.readouterr().err
+
 # ---------------------------------------------------------------------------
 # ablate
 # ---------------------------------------------------------------------------

@@ -232,6 +232,34 @@ class TestCapClass:
     def test_ids_are_stable(self):
         assert [c.value for c in CapClass] == [0, 1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize("word", [
+        "", "½", "²", "東京", "東京Ab", "ǅemal", "Σίσυφος", "straße", "ÉCOLE", "x²", "½a",
+        "İstanbul", "ǅ", "ß", "Ⅻ", "ⅻ", "١٢٣", "ꜳ", "ʰ", "ªb", "\x00", " ", "9a", "Z9",
+    ])
+    def test_matches_reference_on_edge_cases(self, word):
+        assert capitalization_class(word) is reference_capitalization_class(word)
+
+    @given(st.text(max_size=12) | st.text(st.characters(max_codepoint=0x7F), max_size=12))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference(self, s):
+        assert capitalization_class(s) is reference_capitalization_class(s)
+
+
+def reference_capitalization_class(s: str) -> CapClass:
+    """The original three-pass classifier, kept as the oracle."""
+    if not any(c.isalnum() for c in s):
+        return CapClass.NO_ALPHANUM
+    letters = [c for c in s if c.isalpha()]
+    if not letters and any(c.isdigit() for c in s):
+        return CapClass.NUMERIC
+    if all(c.isupper() for c in letters):
+        return CapClass.ALL_UPPER
+    if all(c.islower() for c in letters):
+        return CapClass.ALL_LOWER
+    if s[0].isalpha() and s[0].isupper():
+        return CapClass.UPPER_FIRST
+    return CapClass.UPPER_NOT_FIRST
+
 
 class TestTypeInventory:
     def test_order_and_index(self):

@@ -1,14 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lexner import embed
 from lexner.embed import (
     EmbedConfig,
     EmbeddingTable,
     char_ngrams,
     fnv1a,
     hash_ngram,
+    is_type_token,
     load_embeddings,
     negative_sampling_loss,
+    ngram_bucket_ids,
     save_embeddings,
     train_skipgram,
 )
@@ -59,6 +66,109 @@ class TestHashing:
             g = "".join(letters[i] for i in rng.integers(0, 26, n))
             buckets[hash_ngram(g, 1000)] += 1
         assert buckets.max() <= 10 * buckets.mean()
+
+
+# words for the batched-path properties: arbitrary text (no lone surrogates,
+# which UTF-8 cannot encode), astral-plane characters, 0-2 character words,
+# words longer than any n-gram, and type tokens
+_astral = st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF, categories=["Lo", "So", "Lu", "Ll", "Co"])
+_words = st.one_of(
+    st.text(max_size=12),
+    st.text(max_size=2),
+    st.text(st.one_of(_astral, st.characters(max_codepoint=0x7F)), max_size=8),
+    st.text(min_size=7, max_size=30),
+    st.text(max_size=6).map(lambda s: "/" + s),
+    st.sampled_from(["café", "東京都", "naïve", "𝒳yz", "a𝄞b", "😀", "ǅemal", "İstanbul"]),
+)
+
+
+class TestBatchedHashing:
+    @given(st.lists(_words, max_size=12), st.integers(1, 5), st.integers(0, 4),
+           st.sampled_from([1, 7, 977, 100_000, 2**31 - 1, 2**32]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_gram_hashing(self, words, nmin, extra, nbuckets):
+        nmax = nmin + extra
+        got = ngram_bucket_ids(words, nbuckets, nmin, nmax)
+        assert len(got) == len(words)
+        for w, ids in zip(words, got):
+            assert ids.dtype == np.int64
+            assert ids.tolist() == [hash_ngram(g, nbuckets) for g in char_ngrams(w, nmin, nmax)]
+
+    def test_full_hash_range(self):
+        # with 2**32 buckets an id is the raw 32-bit FNV-1a of its n-gram
+        words = ["cats", "東京都", "a𝄞b", "x" * 25]
+        for w, ids in zip(words, ngram_bucket_ids(words, 2**32)):
+            assert ids.tolist() == [fnv1a(g) for g in char_ngrams(w)]
+
+    def test_chunks_split_long_groups(self):
+        words = [f"w{i:05d}" for i in range(300)] + ["é" * 40, "ab"]
+        with mock.patch.object(embed, "_CHUNK_CHARS", 50):
+            got = ngram_bucket_ids(words, 977)
+        for w, ids in zip(words, got):
+            assert ids.tolist() == [hash_ngram(g, 977) for g in char_ngrams(w)]
+
+    def test_lone_surrogate_raises(self):
+        with pytest.raises(UnicodeEncodeError):
+            ngram_bucket_ids(["ok", "a\ud800b"], 977)
+
+
+def reference_word_vector(table: EmbeddingTable, word: str) -> np.ndarray:
+    """Per-word composition: stored row plus bucket_vectors[ids].mean(0)."""
+    word = word.lower()
+    row = table.word_index.get(word)
+    parts = [] if row is None else [table.vectors[row]]
+    if table.bucket_vectors is not None and not is_type_token(word):
+        nbuckets = table.bucket_vectors.shape[0]
+        ids = np.array([hash_ngram(g, nbuckets) for g in char_ngrams(word, table.ngram_min, table.ngram_max)],
+                       dtype=np.int64)
+        if ids.size:
+            parts.append(table.bucket_vectors[ids].mean(0))
+    if not parts:
+        return np.zeros(table.dim, dtype=np.float32)
+    out = parts[0].astype(np.float32, copy=True)
+    for p in parts[1:]:
+        out += p
+    return out
+
+
+class TestBatchedComposition:
+    @given(st.lists(_words, max_size=10), st.integers(1, 9), st.integers(0, 2**32 - 1),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_per_word_reference(self, words, dim, seed, small_chunks):
+        rng = np.random.default_rng(seed)
+        vocab = list(dict.fromkeys(w.lower() for w in words[::2])) + ["/known"]
+        table = EmbeddingTable(vocab, rng.normal(size=(len(vocab), dim)).astype(np.float32),
+                               rng.normal(size=(61, dim)).astype(np.float32), ngram_min=2, ngram_max=5)
+        queries = words + ["/known", "/unknown", ""]
+        with mock.patch.object(embed, "_CHUNK_CHARS", 12 if small_chunks else embed._CHUNK_CHARS):
+            got = table.word_vectors(queries)
+        assert got.dtype == np.float32 and got.shape == (len(queries), dim)
+        for w, row in zip(queries, got):
+            assert row.tobytes() == reference_word_vector(table, w).tobytes(), w
+            assert table.word_vector(w).tobytes() == row.tobytes()
+
+    def test_trained_table_matches_reference(self):
+        table = train_skipgram(tiny_corpus(), small_config())
+        words = ["aaa", "AAAS", "zzzqqq", "/t1", "/nothere", "", "a", "bbb", "café"]
+        for w, row in zip(words, table.word_vectors(words)):
+            assert row.tobytes() == reference_word_vector(table, w).tobytes()
+
+    def test_plain_table_uses_stored_rows(self):
+        plain = EmbeddingTable(["x", "/t"], np.arange(8, dtype=np.float32).reshape(2, 4))
+        np.testing.assert_array_equal(plain.word_vectors(["X", "y", "/t"]),
+                                      [[0, 1, 2, 3], [0, 0, 0, 0], [4, 5, 6, 7]])
+
+    def test_empty_batch(self):
+        table = train_skipgram(tiny_corpus(), small_config())
+        assert table.word_vectors([]).shape == (0, table.dim)
+
+    def test_lone_surrogate_raises(self):
+        table = train_skipgram(tiny_corpus(), small_config())
+        with pytest.raises(UnicodeEncodeError):
+            table.word_vectors(["aaa", "b\udc00"])
+        with pytest.raises(UnicodeEncodeError):
+            table.word_vector("\ud800")
 
 
 class TestConfig:

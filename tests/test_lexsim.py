@@ -1,4 +1,6 @@
+import struct
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lexner import lexsim
 from lexner.corpus import TypeInventory
 from lexner.embed import EmbeddingTable
 from lexner.errors import DataError, FormatError
@@ -120,6 +123,15 @@ class TestLsRaw:
         with pytest.raises(DataError):
             ls_raw("north", table, bad)
 
+    def test_matches_per_word_cosines(self):
+        # row-wise reductions reorder the sums of the BLAS dot products
+        table, inv = subword_table()
+        t = np.stack([table.word_vector(label) for label in inv]).astype(np.float64)
+        for w in ["north", "Southern", "ab", "x", "/t2", "東京都"]:
+            v = table.word_vector(w).astype(np.float64)
+            expect = (t @ v) / (np.linalg.norm(t, axis=1) * np.linalg.norm(v))
+            np.testing.assert_allclose(ls_raw(w, table, inv), expect, rtol=1e-13, atol=1e-15)
+
     def test_scale_invariance(self):
         table, inv = toy_table()
         scaled = EmbeddingTable(table.words, table.vectors * 7.0)
@@ -195,6 +207,55 @@ class TestBuildTable:
         assert elapsed < 10.0
 
 
+def subword_table(seed: int = 3, dim: int = 8) -> tuple[EmbeddingTable, TypeInventory]:
+    """Random table with n-gram buckets, so OOV words compose nonzero vectors."""
+    rng = np.random.default_rng(seed)
+    inv = TypeInventory(["/t1", "/t2", "/t3", "/t4"])
+    words = list(inv) + ["north", "south", "ab", "x"]
+    return EmbeddingTable(words, rng.normal(size=(len(words), dim)).astype(np.float32),
+                          rng.normal(size=(997, dim)).astype(np.float32)), inv
+
+
+class TestBatchedBuild:
+    def test_matches_per_word_path_across_a_chunk_boundary(self):
+        table, inv = subword_table()
+        rng = np.random.default_rng(11)
+        letters = list("abcdefghijklmnopqrstuvwxyzéü東")
+        fresh = ["".join(rng.choice(letters, int(rng.integers(1, 14)))) for _ in range(400)]
+        extra = ["North", "north", "NORTH", "x", "Ab", "/t2", "/T3", "", "𝒳yz", "café", "CAFÉ"]
+        vocab = extra + fresh + extra
+        words = list(dict.fromkeys(w.lower() for w in vocab))
+        chunk = 64  # words per chunk
+        assert len(words) > 4 * chunk
+        with mock.patch.object(lexsim, "_LS_CHUNK_VALUES", chunk * len(inv) * table.dim):
+            ls = build_ls_table(vocab, table, inv)
+        assert list(ls.entries) == words
+        for w in words:
+            expect = minmax_scale(ls_raw(w, table, inv)).astype(np.float32)
+            assert ls.entries[w].tobytes() == expect.tobytes(), w
+
+    def test_fallback_equals_table_entry(self):
+        table, inv = subword_table()
+        built = build_ls_table(["southern", "x", "ab", "café"], table, inv)
+        bare = LSTable(inv, fallback=table)
+        for w, vec in built.entries.items():
+            assert bare.vector(w).tobytes() == vec.tobytes()
+
+    def test_fallback_vectors_stay_out_of_entries(self):
+        table, inv = subword_table()
+        ls = build_ls_table(["north"], table, inv)
+        before = ls.content_hash()
+        first = ls.vector("Northern")
+        np.testing.assert_array_equal(ls.vector("northern"), first)
+        assert list(ls.entries) == ["north"] and "northern" not in ls
+        assert ls.content_hash() == before
+
+    def test_lone_surrogate_raises(self):
+        table, inv = subword_table()
+        with pytest.raises(UnicodeEncodeError):
+            build_ls_table(["north", "a\ud800"], table, inv)
+
+
 class TestTopK:
     def test_full_permutation(self):
         table, inv = toy_table()
@@ -261,6 +322,24 @@ class TestPersistence:
             load_ls_table(cut)
         assert err.value.offset is not None
         assert "truncated" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_at_its_record(self, tmp_path, bad):
+        table, inv = toy_table()
+        ls = build_ls_table(["north", "south", "flat"], table, inv)
+        p = tmp_path / "table.ls"
+        save_ls_table(ls, p)
+        data = bytearray(p.read_bytes())
+        # header, three labels, record count, then (word, 3 floats) records
+        header = 4 + 5 + sum(2 + len(label) for label in inv) + 8
+        south = header + 2 + len("north") + 3 * 4
+        value = south + 2 + len("south") + 4
+        data[value : value + 4] = struct.pack("<f", bad)
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError) as err:
+            load_ls_table(p)
+        assert err.value.offset == south
+        assert "record 1" in str(err.value) and "non-finite" in str(err.value)
 
     def test_text_debug_format(self, tmp_path):
         table, inv = toy_table()
