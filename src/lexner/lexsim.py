@@ -223,7 +223,10 @@ def _read_str(fh, what: str) -> str:
     b = fh.read(n)
     if len(b) < n:
         raise FormatError(f"truncated {what}", at + 2)
-    return b.decode("utf-8")
+    try:
+        return b.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{what} is not valid UTF-8", at + 2) from None
 
 
 def save_ls_table(table: LSTable, path: str | Path) -> None:

@@ -3,8 +3,8 @@
 Transitions live in an (L+2, L+2) matrix over the tag set plus two virtual
 states, START = L and STOP = L+1. Row i, column j scores the move i -> j.
 The batched negative log-likelihood backpropagates through the stored
-forward variables, which reproduces the forward-backward marginals without
-a separate backward recursion.
+forward variables and each step's stored log-sum-exp, which reproduces the
+forward-backward marginals without a separate backward recursion.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ def crf_log_partition(emissions: np.ndarray, transitions: np.ndarray) -> float:
     if transitions.shape != (L + 2, L + 2):
         raise DataError(
             f"transition matrix {transitions.shape} does not fit {L} tags")
-    logz, _ = crf_forward_batched(emissions[:, None], np.array([T]), transitions)
+    logz, _, _ = crf_forward_batched(emissions[:, None], np.array([T]), transitions)
     return float(logz[0])
 
 
@@ -91,20 +91,28 @@ def viterbi_decode(
 
 def crf_forward_batched(
     emissions: np.ndarray, lengths: np.ndarray, transitions: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched log partition. emissions (T, B, L); returns (logZ (B,), alphas)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched log partition. emissions (T, B, L); returns (logZ (B,), alphas, lse).
+
+    alphas (T, B, L) are the forward variables; lse (T, B, L) holds each
+    step's log-sum-exp over the previous tag, lse[t, b, j] =
+    logsumexp_i(alphas[t-1, b, i] + transitions[i, j]) for t >= 1 (row 0 is
+    unused), which the gradient reuses.
+    """
     T, B, L = emissions.shape
     start, stop = L, L + 1
     alphas = np.zeros((T, B, L))
+    lse = np.zeros((T, B, L))
     alpha = transitions[start, :L][None, :] + emissions[0]
     alphas[0] = alpha
     for t in range(1, T):
         active = (t < lengths)[:, None]
-        nxt = logsumexp(alpha[:, :, None] + transitions[None, :L, :L], axis=1)
-        alpha = np.where(active, nxt + emissions[t], alpha)
+        lse[t] = logsumexp(alpha[:, :, None] + transitions[None, :L, :L], axis=1)
+        nxt = lse[t] + emissions[t]
+        alpha = nxt if active.all() else np.where(active, nxt, alpha)
         alphas[t] = alpha
     logz = logsumexp(alpha + transitions[:L, stop][None, :], axis=1)
-    return logz, alphas
+    return logz, alphas, lse
 
 
 def crf_nll_and_grad(
@@ -124,7 +132,7 @@ def crf_nll_and_grad(
     if np.any(lengths < 1):
         raise DataError("every sequence must have at least one position")
 
-    logz, alphas = crf_forward_batched(emissions, lengths, transitions)
+    logz, alphas, lse = crf_forward_batched(emissions, lengths, transitions)
 
     # gold path scores
     t_idx = np.arange(T)[:, None]
@@ -153,14 +161,16 @@ def crf_nll_and_grad(
     dtrans[:L, stop] += w.sum(axis=0)
     for t in range(T - 1, 0, -1):
         active = (t < lengths)[:, None]
-        dem[t] = np.where(active, dalpha, 0.0)
+        full = bool(active.all())  # then every masking below is the identity
+        dem[t] = dalpha if full else np.where(active, dalpha, 0.0)
         m = alphas[t - 1][:, :, None] + transitions[None, :L, :L]
-        m = np.exp(m - logsumexp(m, axis=1)[:, None, :])
+        m = np.exp(m - lse[t][:, None, :])
         dm = m * dalpha[:, None, :]
-        dm = np.where(active[:, :, None], dm, 0.0)
+        if not full:
+            dm = np.where(active[:, :, None], dm, 0.0)
         dtrans[:L, :L] += dm.sum(axis=0)
         dalpha_prev = dm.sum(axis=2)
-        dalpha = np.where(active, dalpha_prev, dalpha)
+        dalpha = dalpha_prev if full else np.where(active, dalpha_prev, dalpha)
     dem[0] = dalpha
     dtrans[start, :L] += dalpha.sum(axis=0)
 

@@ -21,6 +21,10 @@ step's numpy-call overhead. Inputs, outputs and gradients then carry S in
 front; inside, per-step arrays are (T, S, B, .) so each step's slice is
 contiguous.
 
+Each forward step writes its states straight into the cache arrays. On a
+step where every sequence is still running, both passes skip the carry
+selection, which would pick the fresh values everywhere.
+
 The forward cache is a dict: "x" as given, "real" (T, B, 1) bool, "h" and
 "c" (T, [S,] B, H) holding the carried states after each step, "gates"
 (T, [S,] B, 4H) holding the activated i/f/g/o and "tanh_c" (T, [S,] B, H)
@@ -71,6 +75,8 @@ def lstm_forward(
     real = np.ones((T, B, 1), dtype=bool) if mask is None else mask[:, :, None] != 0
     a_x = x.reshape(*stack, T * B, D) @ params["wx"] + params["b"][..., None, :]
     a_x = _swap_time(a_x.reshape(*stack, T, B, 4 * H)).copy()
+    pad = ~real
+    full = real.all(axis=(1, 2)).tolist()  # steps where every sequence is running
     h = np.zeros((*stack, B, H))
     c = np.zeros((*stack, B, H))
     h_seq, c_seq, tanh_c = (np.empty((T, *stack, B, H)) for _ in range(3))
@@ -81,12 +87,14 @@ def lstm_forward(
         act = _sigmoid(a, out=gates[t])
         i, f, g, o = act[..., :H], act[..., H : 2 * H], act[..., 2 * H : 3 * H], act[..., 3 * H :]
         np.tanh(a[..., 2 * H : 3 * H], out=g)
-        c_cand = f * c
-        c_cand += i * g
-        np.tanh(c_cand, out=tanh_c[t])
-        h_seq[t] = np.where(real[t], o * tanh_c[t], h)
-        c_seq[t] = np.where(real[t], c_cand, c)
-        h, c = h_seq[t], c_seq[t]
+        c_t = np.multiply(f, c, out=c_seq[t])
+        c_t += i * g
+        np.tanh(c_t, out=tanh_c[t])
+        h_t = np.multiply(o, tanh_c[t], out=h_seq[t])
+        if not full[t]:  # ended sequences carry their states
+            np.copyto(h_t, h, where=pad[t])
+            np.copyto(c_t, c, where=pad[t])
+        h, c = h_t, c_t
     cache = {"x": x, "real": real, "h": h_seq, "c": c_seq, "gates": gates, "tanh_c": tanh_c}
     return _swap_time(h_seq), h, c, cache
 
@@ -135,21 +143,31 @@ def lstm_backward(
     local = local.reshape(T, *stack, B, 4, H)
 
     dh_seq = None if dh_seq is None else _swap_time(dh_seq)
+    pad = ~real
+    full = real.all(axis=(1, 2)).tolist()
     da = np.empty((T, *stack, B, 4, H))
     dh = np.zeros((*stack, B, H)) if dh_final is None else dh_final.copy()
     dc = np.zeros((*stack, B, H)) if dc_final is None else dc_final.copy()
     wh_t = np.swapaxes(wh, -1, -2)
     for t in range(T - 1, -1, -1):
         if dh_seq is not None:
-            dh = dh + dh_seq[t]
-        dh_cand = np.where(real[t], dh, 0.0)
-        dc_total = np.where(real[t], dc, 0.0) + dh_cand * do_dc[t]
+            dh += dh_seq[t]
+        if full[t]:
+            dh_cand, dc_in = dh, dc
+        else:
+            dh_cand, dc_in = np.where(real[t], dh, 0.0), np.where(real[t], dc, 0.0)
+        dc_total = dh_cand * do_dc[t]
+        dc_total += dc_in
         da_t = da[t]
         da_t[..., :3, :] = dc_total[..., None, :]
         da_t[..., 3, :] = dh_cand
         da_t *= local[t]
-        dc = np.where(real[t], dc_total * f[t], dc)
-        dh = np.where(real[t], da_t.reshape(*stack, B, 4 * H) @ wh_t, dh)
+        dc_t = dc_total * f[t]
+        dh_t = da_t.reshape(*stack, B, 4 * H) @ wh_t
+        if not full[t]:  # ended sequences pass their gradients through untouched
+            np.copyto(dc_t, dc, where=pad[t])
+            np.copyto(dh_t, dh, where=pad[t])
+        dc, dh = dc_t, dh_t
 
     da = _swap_time(da.reshape(T, *stack, B, 4 * H)).reshape(*stack, T * B, 4 * H)
     h_prev = _swap_time(h_prev).reshape(*stack, T * B, H)
@@ -168,8 +186,17 @@ def reverse_padded(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     Padding stays in place, so applying this twice is the identity. Works
     for (T, B) and (T, B, D) arrays alike.
     """
-    T, B = x.shape[0], x.shape[1]
+    return x[padded_reversal(lengths, x.shape[0])]
+
+
+def padded_reversal(lengths: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (time, batch) index pair that `reverse_padded` applies.
+
+    Build it once per batch and index every array of that batch with it,
+    x[index], when several arrays share the same lengths.
+    """
+    B = len(lengths)
     t_idx = np.arange(T)[:, None].repeat(B, axis=1)
     real = t_idx < lengths[None, :]
     t_idx = np.where(real, lengths[None, :] - 1 - t_idx, t_idx)
-    return x[t_idx, np.arange(B)[None, :]]
+    return t_idx, np.arange(B)[None, :]

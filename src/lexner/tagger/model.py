@@ -9,14 +9,26 @@ Feature blocks are concatenated in a fixed order (word embedding, char
 BiLSTM representation, capitalization embedding, LS vector, gazetteer
 bits); disabled blocks are simply omitted and every downstream dimension
 shrinks to match.
+
+Parameters live in a `ParamStore`: named tensors that are views into one
+contiguous float64 buffer. Names iterate in the order `build` creates them,
+which is also the checkpoint order. In the buffer each `{prefix}_fwd.{k}`
+tensor sits directly before its `{prefix}_bwd.{k}` twin, so both
+directions of a BiLSTM read their weights as one stacked (2, ...) view
+without a copy. Gradients and SGD momentum use stores of the same layout,
+so zeroing, clipping and the update are whole-buffer operations.
 """
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +42,7 @@ from .crf import (
     viterbi_decode_batched,
 )
 from .gazetteer import Gazetteer, gazetteer_features
-from .lstm import glorot, init_lstm_params, lstm_backward, lstm_forward, reverse_padded
+from .lstm import glorot, init_lstm_params, lstm_backward, lstm_forward, padded_reversal
 
 CHECKPOINT_MAGIC = b"LXNR"
 CHECKPOINT_VERSION = 1
@@ -88,6 +100,88 @@ class TaggerConfig:
         return feature in self.features
 
 
+@lru_cache(maxsize=16)
+def _layout(shapes: tuple[tuple[str, tuple[int, ...]], ...]) -> tuple[dict, int, dict]:
+    """Where each tensor of a `ParamStore` sits in its flat buffer.
+
+    Returns (offset by name, buffer size, stacked pairs by prefix, each
+    {short name: (offset, (2, *shape))}). Every `{prefix}_fwd.{k}` tensor
+    must have a `{prefix}_bwd.{k}` twin of its shape, placed right after it.
+    Cached: every store of the same shapes shares the result, read only.
+    """
+    shape_of = dict(shapes)
+    offsets: dict[str, int] = {}
+    pairs: dict[str, dict[str, tuple[int, tuple[int, ...]]]] = {}
+    at = 0
+    for name, shape in shapes:
+        if name in offsets:
+            continue
+        prefix, fwd, k = name.partition("_fwd.")
+        group = [name]
+        if fwd:
+            twin = f"{prefix}_bwd.{k}"
+            if shape_of.get(twin) != shape or twin in offsets:
+                raise DataError(f"{name!r} has no {twin!r} of its shape after it")
+            pairs.setdefault(prefix, {})[k] = (at, (2, *shape))
+            group.append(twin)
+        for g in group:
+            offsets[g] = at
+            at += math.prod(shape_of[g])
+    return offsets, at, pairs
+
+
+class ParamStore(Mapping):
+    """Named float64 tensors that are views into one flat buffer, `flat`.
+
+    Names iterate in the order of `shapes`. In `flat`, each `{p}_fwd.{k}`
+    tensor is followed directly by its `{p}_bwd.{k}` twin, and `stacked`
+    exposes the pair as one (2, ...) view. Assigning to a name copies the
+    values into that tensor's view, so `flat` stays the home of every tensor.
+    """
+
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
+        self.shapes = {k: tuple(v) for k, v in shapes.items()}
+        offsets, size, self._pairs = _layout(tuple(self.shapes.items()))
+        self.flat = np.zeros(size)
+        self._views = {k: self.flat[offsets[k] : offsets[k] + math.prod(shape)].reshape(shape)
+                       for k, shape in self.shapes.items()}
+        self._stacked: dict[str, dict[str, np.ndarray]] = {}
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "ParamStore":
+        store = cls({k: np.shape(v) for k, v in arrays.items()})
+        for k, v in arrays.items():
+            store[k] = v
+        return store
+
+    def zeros_like(self) -> "ParamStore":
+        """A zero-filled store with the same names and layout."""
+        return ParamStore(self.shapes)
+
+    def stacked(self, prefix: str) -> dict[str, np.ndarray]:
+        """`{prefix}_fwd.*` and `{prefix}_bwd.*` as (2, ...) views, by short name."""
+        if prefix not in self._stacked:
+            self._stacked[prefix] = {k: self.flat[at : at + math.prod(shape)].reshape(shape)
+                                     for k, (at, shape) in self._pairs[prefix].items()}
+        return self._stacked[prefix]
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __setitem__(self, name: str, value) -> None:
+        view = self._views[name]
+        value = np.asarray(value)
+        if value.shape != view.shape:
+            raise DataError(f"{name!r} holds shape {view.shape}, not {value.shape}")
+        view[...] = value
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+
 class TaggerModel:
     """Parameters plus the frozen lookups; built by `build`, not directly."""
 
@@ -97,7 +191,7 @@ class TaggerModel:
         tags: list[str],
         chars: list[str],
         words: list[str],
-        params: dict[str, np.ndarray],
+        params: Mapping[str, np.ndarray],
         ls_table: LSTable | None,
         gazetteer: Gazetteer | None,
     ):
@@ -108,7 +202,7 @@ class TaggerModel:
         self.char_index = {c: i + 1 for i, c in enumerate(self.chars)}  # 0 = UNK
         self.words = list(words)  # pretrained vocab; row 0 of word_emb is UNK
         self.word_index = {w: i + 1 for i, w in enumerate(self.words)}
-        self.params = params
+        self.params = params if isinstance(params, ParamStore) else ParamStore.from_arrays(params)
         self.ls_table = ls_table
         self.gazetteer = gazetteer
         if config.uses("ls") and ls_table is None:
@@ -192,26 +286,27 @@ class TaggerModel:
 
         x is (T, B, D) in reading order. Returns h_seq (2, T, B, H) and
         h_final (2, B, H), direction 1 in its own (reversed) time order,
-        plus the context for `_bilstm_backward`.
+        plus the context for `_bilstm_backward`, whose "rev" index
+        reverses any (T, B, ...) array of this batch within `lengths`.
         """
-        p = {k: np.array((self.params[f"{prefix}_fwd.{k}"], self.params[f"{prefix}_bwd.{k}"]))
-             for k in ("wx", "wh", "b")}
-        h_seq, h_final, _, cache = lstm_forward(p, np.array((x, reverse_padded(x, lengths))), mask)
-        return h_seq, h_final, {"prefix": prefix, "params": p, "cache": cache, "lengths": lengths}
+        rev = padded_reversal(lengths, x.shape[0])
+        p = self.params.stacked(prefix)
+        h_seq, h_final, _, cache = lstm_forward(p, np.array((x, x[rev])), mask)
+        return h_seq, h_final, {"prefix": prefix, "params": p, "cache": cache, "rev": rev}
 
     def _bilstm_backward(
-        self, ctx: dict, grads: dict, dh_seq: np.ndarray | None, dh_final: np.ndarray | None = None
+        self, ctx: dict, grads: ParamStore, dh_seq: np.ndarray | None,
+        dh_final: np.ndarray | None = None,
     ) -> np.ndarray:
         """Backprop through `_bilstm`, gradients in the layout it returned.
 
-        Adds the parameter gradients into `grads` under the fwd/bwd keys and
-        returns dx (T, B, D) in reading order.
+        Adds the parameter gradients into the stacked fwd/bwd views of
+        `grads` and returns dx (T, B, D) in reading order.
         """
         dx, g = lstm_backward(ctx["params"], ctx["cache"], dh_seq, dh_final=dh_final)
-        for k, v in g.items():
-            grads[f"{ctx['prefix']}_fwd.{k}"] += v[0]
-            grads[f"{ctx['prefix']}_bwd.{k}"] += v[1]
-        return dx[0] + reverse_padded(dx[1], ctx["lengths"])
+        for k, v in grads.stacked(ctx["prefix"]).items():
+            v += g[k]
+        return dx[0] + dx[1][ctx["rev"]]
 
     def _char_reps(self, words: list[str]) -> tuple[np.ndarray, dict]:
         """BiLSTM over the characters of each word.
@@ -232,7 +327,7 @@ class TaggerModel:
         _, h_final, bictx = self._bilstm("char", emb, clens, cmask)
         return np.concatenate(h_final, axis=1), {"n": n, "cids": cids, "cmask": cmask, "bilstm": bictx}
 
-    def _char_backward(self, d_reps: np.ndarray, ctx: dict, grads: dict) -> None:
+    def _char_backward(self, d_reps: np.ndarray, ctx: dict, grads: ParamStore) -> None:
         if ctx["n"] == 0:
             return
         d_final = np.array(np.split(d_reps, 2, axis=1))
@@ -311,7 +406,7 @@ class TaggerModel:
     ) -> tuple[np.ndarray, dict]:
         """Word BiLSTM states (T, B, 2*word_hidden), both halves in reading order."""
         h_seq, _, bictx = self._bilstm("word", x, lengths, mask)
-        h = np.concatenate([h_seq[0], reverse_padded(h_seq[1], lengths)], axis=2)
+        h = np.concatenate([h_seq[0], h_seq[1][bictx["rev"]]], axis=2)
         return h, bictx
 
     def nll_and_gradients(
@@ -320,7 +415,7 @@ class TaggerModel:
         train: bool = False,
         rng: np.random.Generator | None = None,
         corrupt: str | None = None,
-    ) -> tuple[float, dict[str, np.ndarray]]:
+    ) -> tuple[float, ParamStore]:
         """Batch NLL and gradients for every trainable parameter tensor.
 
         Training mode applies fresh per-timestep dropout masks to the word
@@ -361,7 +456,7 @@ class TaggerModel:
 
         nll, dem, dtrans = crf_nll_and_grad(em, lengths, gold, self.params["trans"])
 
-        grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        grads = self.params.zeros_like()
         grads["trans"] = dtrans
         flat_h = h.reshape(T * B, -1)
         flat_dem = dem.reshape(T * B, -1)
@@ -372,7 +467,7 @@ class TaggerModel:
             dh = dh * drop_out_mask
 
         hc = cfg.word_hidden
-        dh_seq = np.array((dh[:, :, :hc], reverse_padded(dh[:, :, hc:], lengths)))
+        dh_seq = np.array((dh[:, :, :hc], dh[:, :, hc:][wctx["rev"]]))
         dx = self._bilstm_backward(wctx, grads, dh_seq)
         if drop_in is not None:
             dx = dx * drop_in
@@ -424,29 +519,83 @@ class TaggerModel:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+def param_names(config: TaggerConfig) -> list[str]:
+    """Names of the trainable tensors in `TaggerModel.build` order, which is
+    also the checkpoint order."""
+    def lstm(prefix: str) -> list[str]:
+        return [f"{prefix}_{d}.{k}" for d in ("fwd", "bwd") for k in ("wx", "wh", "b")]
+
+    names = ["word_emb"] if config.uses("word_emb") else []
+    if config.uses("char"):
+        names += ["char_emb", *lstm("char")]
+    if config.uses("cap"):
+        names.append("cap_emb")
+    return names + lstm("word") + ["proj_w", "proj_b", "trans"]
+
+
+HEADER_OFFSET = 9  # magic (4 bytes), version (1), header length (4)
+HEADER_KEYS = ("version", "config", "tags", "chars", "words", "params", "ls_hash", "gazetteer")
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _read_header(blob: bytes) -> dict:
+    """Decode the JSON header and check its schema; "config" comes back as
+    a `TaggerConfig`. Any defect is a FormatError at the header's offset."""
+
+    def bad(what: str) -> FormatError:
+        return FormatError(f"bad checkpoint header: {what}", HEADER_OFFSET)
+
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise bad(str(exc)) from None
+    if not isinstance(header, dict):
+        raise bad("not a JSON object")
+    missing = [k for k in HEADER_KEYS if k not in header]
+    if missing:
+        raise bad(f"missing {', '.join(missing)}")
+    config = header["config"]
+    if not isinstance(config, dict):
+        raise bad("config is not an object")
+    known = [f.name for f in fields(TaggerConfig)]
+    unknown = [k for k in config if k not in known]
+    absent = [k for k in known if k not in config]
+    if unknown or absent:
+        raise bad(f"config fields unknown {unknown}, missing {absent}")
+    try:
+        header["config"] = TaggerConfig(**config)
+    except TypeError as exc:  # a value of the wrong type
+        raise bad(f"config: {exc}") from None
+    for key in ("tags", "chars", "words"):
+        if not _is_str_list(header[key]):
+            raise bad(f"{key} is not a list of strings")
+    if not isinstance(header["ls_hash"], str):
+        raise bad("ls_hash is not a string")
+    specs = header["params"]
+    if not isinstance(specs, list) or not all(
+        isinstance(s, dict) and isinstance(s.get("name"), str) and isinstance(s.get("shape"), list)
+        and all(type(d) is int and d >= 0 for d in s["shape"]) for s in specs
+    ):
+        raise bad("params is not a list of {name, shape} entries")
+    if [s["name"] for s in specs] != param_names(header["config"]):
+        raise bad("params do not name the tensors of the config's blocks")
+    gaz = header["gazetteer"]
+    if gaz is not None and not (
+        isinstance(gaz, dict) and type(gaz.get("max_n")) is int and isinstance(gaz.get("lists"), dict)
+        and all(_is_str_list(v) for v in gaz["lists"].values())
+    ):
+        raise bad("gazetteer is not {max_n, lists}")
+    return header
+
+
 def save_checkpoint(model: TaggerModel, path: str | Path) -> None:
     """Single binary file: magic, version, JSON header, float32 tensors."""
-    cfg = model.config
     header = {
         "version": CHECKPOINT_VERSION,
-        "config": {
-            "word_hidden": cfg.word_hidden,
-            "char_emb_dim": cfg.char_emb_dim,
-            "char_hidden": cfg.char_hidden,
-            "cap_emb_dim": cfg.cap_emb_dim,
-            "dropout_prob": cfg.dropout_prob,
-            "batch_size": cfg.batch_size,
-            "learning_rate": cfg.learning_rate,
-            "momentum": cfg.momentum,
-            "clip_norm": cfg.clip_norm,
-            "clip_mode": cfg.clip_mode,
-            "max_epochs": cfg.max_epochs,
-            "decay_rate": cfg.decay_rate,
-            "patience": cfg.patience,
-            "seed": cfg.seed,
-            "features": list(cfg.features),
-            "mask_decode": cfg.mask_decode,
-        },
+        "config": asdict(model.config),
         "tags": model.tags,
         "chars": model.chars,
         "words": model.words,
@@ -493,23 +642,26 @@ def load_checkpoint(path: str | Path, ls_table: LSTable | None = None) -> Tagger
             raise FormatError(f"unsupported checkpoint version {version}", 4)
         blob = fh.read(blob_len)
         if len(blob) < blob_len:
-            raise FormatError("truncated checkpoint metadata", 9)
-        header = json.loads(blob.decode("utf-8"))
-        cfg = TaggerConfig(**header["config"])
+            raise FormatError("truncated checkpoint metadata", HEADER_OFFSET)
+        header = _read_header(blob)
+        cfg = header["config"]
 
+        size = os.fstat(fh.fileno()).st_size
         params: dict[str, np.ndarray] = {}
         for spec in header["params"]:
             shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
+            count = math.prod(shape)
             at = fh.tell()
+            if at + count * 4 > size:  # checked before reading: a corrupt shape can be huge
+                raise FormatError(f"truncated tensor {spec['name']!r}", size)
             raw = fh.read(count * 4)
-            if len(raw) < count * 4:
-                raise FormatError(f"truncated tensor {spec['name']!r}", at + len(raw))
             values = np.frombuffer(raw, dtype="<f4")
             if not np.isfinite(values).all():
                 k = int(np.flatnonzero(~np.isfinite(values))[0])
                 raise FormatError(f"tensor {spec['name']!r} has a non-finite value", at + 4 * k)
             params[spec["name"]] = values.astype(np.float64).reshape(shape)
+        if fh.tell() != size:
+            raise FormatError("trailing bytes after the last tensor", fh.tell())
 
     if cfg.uses("ls"):
         if ls_table is None:
@@ -517,7 +669,7 @@ def load_checkpoint(path: str | Path, ls_table: LSTable | None = None) -> Tagger
         if header["ls_hash"] and ls_table.content_hash() != header["ls_hash"]:
             raise DataError("LS table content hash does not match the checkpoint")
     gaz = None
-    if header.get("gazetteer") is not None:
+    if header["gazetteer"] is not None:
         g = header["gazetteer"]
         gaz = Gazetteer({k: list(v) for k, v in g["lists"].items()}, max_n=g["max_n"])
     return TaggerModel(

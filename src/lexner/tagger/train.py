@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import sys
+from collections.abc import Mapping
 from typing import Callable, Sequence
 
 import numpy as np
@@ -12,37 +13,56 @@ from ..errors import DataError, NumericalError
 from ..evaluation import evaluate
 from ..lexsim import LSTable
 from .gazetteer import Gazetteer
-from .model import TaggerConfig, TaggerModel
+from .model import ParamStore, TaggerConfig, TaggerModel
 
 
-def global_norm(grads: dict[str, np.ndarray]) -> float:
+def global_norm(grads: Mapping[str, np.ndarray]) -> float:
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g * g))
     return float(np.sqrt(total))
 
 
+def _aligned(params: Mapping, grads: Mapping, velocities: Mapping) -> list[tuple]:
+    """(param, grad, velocity) arrays that update together: the three flat
+    buffers when all are `ParamStore`s of one layout, else tensor by tensor."""
+    stores = (params, grads, velocities)
+    if all(isinstance(m, ParamStore) for m in stores) and all(
+            list(m.shapes.items()) == list(params.shapes.items()) for m in stores[1:]):
+        return [(params.flat, grads.flat, velocities.flat)]
+    return [(params[k], grads[k], velocities[k]) for k in params]
+
+
 def sgd_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    velocities: dict[str, np.ndarray],
+    params: Mapping[str, np.ndarray],
+    grads: Mapping[str, np.ndarray],
+    velocities: Mapping[str, np.ndarray],
     config: TaggerConfig,
     epoch: int,
 ) -> None:
-    """One in-place update: clip, momentum, decayed learning rate."""
-    for k, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient in parameter {k!r}")
+    """One in-place update: clip, momentum, decayed learning rate.
+
+    Three `ParamStore`s of one layout update as whole buffers, one
+    operation per step; any other mappings with the same keys update
+    tensor by tensor. The arithmetic is elementwise, and the global norm is
+    summed tensor by tensor in `grads` order, so both give the same bits.
+    """
+    aligned = _aligned(params, grads, velocities)
+    if not all(np.isfinite(g).all() for _, g, _ in aligned):
+        bad = next(k for k, g in grads.items() if not np.isfinite(g).all())
+        raise NumericalError(f"non-finite gradient in parameter {bad!r}")
     if config.clip_mode == "global":
         norm = global_norm(grads)
         scale = config.clip_norm / norm if norm > config.clip_norm else 1.0
-        clipped = {k: g * scale for k, g in grads.items()}
-    else:
-        clipped = {k: np.clip(g, -config.clip_norm, config.clip_norm) for k, g in grads.items()}
     lr = config.learning_rate * config.decay_rate ** epoch
-    for k in params:
-        velocities[k] = config.momentum * velocities[k] + clipped[k]
-        params[k] -= lr * velocities[k]
+    for p, g, v in aligned:
+        if config.clip_mode == "global":
+            clipped = g * scale if scale != 1.0 else g
+        else:
+            clipped = np.clip(g, -config.clip_norm, config.clip_norm)
+        v *= config.momentum
+        v += clipped
+        p -= lr * v
 
 
 def train(
@@ -70,10 +90,10 @@ def train(
     model = TaggerModel.build(config, tags, charset, pretrained, ls_table, gazetteer)
 
     rng = np.random.default_rng(config.seed)
-    velocities = {k: np.zeros_like(v) for k, v in model.params.items()}
+    velocities = model.params.zeros_like()
     history: list[dict] = []
     best_f1 = -1.0
-    best_params: dict[str, np.ndarray] | None = None
+    best_flat: np.ndarray | None = None
     best_epoch = -1
     since_best = 0
 
@@ -97,7 +117,7 @@ def train(
         if dev_f1 > best_f1:
             best_f1 = dev_f1
             best_epoch = epoch
-            best_params = {k: v.copy() for k, v in model.params.items()}
+            best_flat = model.params.flat.copy()
             since_best = 0
         else:
             since_best += 1
@@ -105,8 +125,8 @@ def train(
                 say(f"early stop after epoch {epoch} (best epoch {best_epoch})")
                 break
 
-    if best_params is not None:
-        model.params = best_params
+    if best_flat is not None:
+        model.params.flat[...] = best_flat
     return model, history
 
 

@@ -16,6 +16,8 @@ from lexner.errors import UsageError
 from lexner.lexsim import load_ls_table
 from lexner.tagger.model import load_checkpoint
 
+from world import BAD_CHECKPOINT_HEADERS, edit_checkpoint_header
+
 # ---------------------------------------------------------------------------
 # Config document parsing
 # ---------------------------------------------------------------------------
@@ -310,6 +312,27 @@ class TestPipeline:
         assert main(["tag", "--checkpoint", str(pipe / "model.ckpt"),
                      "--input", str(pipe / "test.txt"), "--ls-table", str(bad)]) == 2
         assert "non-finite value" in capsys.readouterr().err
+
+    def test_tag_rejects_invalid_utf8_in_ls_table(self, pipe, tmp_path, capsys):
+        ls = load_ls_table(pipe / "table.lstb")
+        raw = bytearray((pipe / "table.lstb").read_bytes())
+        # the last record is (word length, word, dim float32 values)
+        word = list(ls.entries)[-1].encode("utf-8")
+        raw[len(raw) - 4 * ls.dim - len(word)] = 0xFF
+        bad = tmp_path / "utf8.lstb"
+        bad.write_bytes(bytes(raw))
+        assert main(["tag", "--checkpoint", str(pipe / "model.ckpt"),
+                     "--input", str(pipe / "test.txt"), "--ls-table", str(bad)]) == 2
+        assert "not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINT_HEADERS))
+    def test_tag_rejects_bad_checkpoint_header(self, pipe, tmp_path, capsys, case):
+        raw = (pipe / "model.ckpt").read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(edit_checkpoint_header(raw, BAD_CHECKPOINT_HEADERS[case]))
+        assert main(["tag", "--checkpoint", str(bad), "--input", str(pipe / "test.txt"),
+                     "--ls-table", str(pipe / "table.lstb")]) == 2
+        assert "bad checkpoint header" in capsys.readouterr().err
 
 # ---------------------------------------------------------------------------
 # ablate

@@ -3,14 +3,16 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexner.errors import DataError
 from lexner.tagger.crf import (
     bilou_allowed_transitions,
+    crf_forward_batched,
     crf_log_partition,
     crf_nll_and_grad,
+    logsumexp,
     path_score,
     viterbi_decode,
     viterbi_decode_batched,
@@ -314,3 +316,78 @@ class TestNllAndGrad:
                 em[:lb, b : b + 1], np.array([lb]), gold[:lb, b : b + 1], trans)
             singles += nb
         assert total == pytest.approx(singles, abs=1e-9)
+
+
+def ref_crf_nll_and_grad(emissions, lengths, gold, transitions):
+    """The gradient loop that recomputes each step's log-sum-exp from the
+    stored alphas instead of reusing the forward pass's."""
+    T, B, L = emissions.shape
+    start, stop = L, L + 1
+    logz, alphas, _ = crf_forward_batched(emissions, lengths, transitions)
+    t_idx = np.arange(T)[:, None]
+    real = t_idx < lengths[None, :]
+    em_gold = np.where(real, emissions[t_idx, np.arange(B)[None, :], gold], 0.0)
+    gold_score = em_gold.sum(axis=0)
+    gold_score += transitions[start, gold[0]]
+    last = gold[lengths - 1, np.arange(B)]
+    gold_score += transitions[last, stop]
+    pair_real = t_idx[1:] < lengths[None, :]
+    if T > 1:
+        gold_score += np.where(pair_real, transitions[gold[:-1], gold[1:]], 0.0).sum(axis=0)
+    nll = float(np.sum(logz - gold_score))
+
+    dem = np.zeros_like(emissions)
+    dtrans = np.zeros_like(transitions)
+    final = alphas[T - 1] + transitions[:L, stop][None, :]
+    dalpha = np.exp(final - logz[:, None])
+    dtrans[:L, stop] += dalpha.sum(axis=0)
+    for t in range(T - 1, 0, -1):
+        active = (t < lengths)[:, None]
+        dem[t] = np.where(active, dalpha, 0.0)
+        m = alphas[t - 1][:, :, None] + transitions[None, :L, :L]
+        m = np.exp(m - logsumexp(m, axis=1)[:, None, :])
+        dm = np.where(active[:, :, None], m * dalpha[:, None, :], 0.0)
+        dtrans[:L, :L] += dm.sum(axis=0)
+        dalpha = np.where(active, dm.sum(axis=2), dalpha)
+    dem[0] = dalpha
+    dtrans[start, :L] += dalpha.sum(axis=0)
+    b_idx = np.arange(B)
+    np.subtract.at(dem, (t_idx.repeat(B, 1)[real], b_idx[None, :].repeat(T, 0)[real], gold[real]), 1.0)
+    np.subtract.at(dtrans, (np.full(B, start), gold[0]), 1.0)
+    np.subtract.at(dtrans, (last, np.full(B, stop)), 1.0)
+    if T > 1:
+        np.subtract.at(dtrans, (gold[:-1][pair_real], gold[1:][pair_real]), 1.0)
+    return nll, dem, dtrans
+
+
+class TestReusedLogSumExp:
+    """The gradient reuses the forward's log-sum-exp: the same bits as recomputing it."""
+
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=5), st.integers(0, 2),
+           st.integers(1, 5), st.integers(0, 2**16))
+    @example([1], 0, 3, 0)  # T = 1, B = 1
+    @example([4], 0, 2, 1)  # B = 1
+    @example([1, 1, 1], 0, 4, 2)  # T = 1
+    @example([5, 5], 0, 3, 3)  # no padding
+    @settings(max_examples=80, deadline=None)
+    def test_exactly_equal_to_recomputing(self, lengths, pad, L, seed):
+        rng = np.random.default_rng(seed)
+        lengths = np.array(lengths)
+        T, B = int(lengths.max()) + pad, len(lengths)
+        em = rng.normal(size=(T, B, L)) * 3
+        gold = rng.integers(0, L, size=(T, B))
+        trans = rng.normal(size=(L + 2, L + 2))
+        nll, dem, dtrans = crf_nll_and_grad(em, lengths, gold, trans)
+        r_nll, r_dem, r_dtrans = ref_crf_nll_and_grad(em, lengths, gold, trans)
+        assert nll == r_nll
+        assert np.array_equal(dem, r_dem)
+        assert np.array_equal(dtrans, r_dtrans)
+
+    def test_stored_lse_is_the_step_log_sum_exp(self):
+        rng = np.random.default_rng(18)
+        em = rng.normal(size=(4, 2, 3))
+        trans = rng.normal(size=(5, 5))
+        _, alphas, lse = crf_forward_batched(em, np.array([4, 2]), trans)
+        for t in range(1, 4):
+            want = logsumexp(alphas[t - 1][:, :, None] + trans[None, :3, :3], axis=1)
+            assert np.array_equal(lse[t], want)

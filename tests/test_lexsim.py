@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from lexner import lexsim
 from lexner.corpus import TypeInventory
 from lexner.embed import EmbeddingTable
-from lexner.errors import DataError, FormatError
+from lexner.errors import DataError, FormatError, LexnerError
 from lexner.lexsim import (
     LSTable,
     build_ls_table,
@@ -340,6 +340,38 @@ class TestPersistence:
             load_ls_table(p)
         assert err.value.offset == south
         assert "record 1" in str(err.value) and "non-finite" in str(err.value)
+
+    def test_invalid_utf8_word_rejected_at_its_string(self, tmp_path):
+        table, inv = toy_table()
+        ls = build_ls_table(["north", "south"], table, inv)
+        p = tmp_path / "table.ls"
+        save_ls_table(ls, p)
+        data = bytearray(p.read_bytes())
+        header = 4 + 5 + sum(2 + len(label) for label in inv) + 8
+        south = header + 2 + len("north") + 3 * 4
+        data[south + 2] = 0xFF  # first byte of the word "south"
+        p.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="record 1 word is not valid UTF-8") as err:
+            load_ls_table(p)
+        assert err.value.offset == south + 2
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_byte_flip_or_truncation_only_raises_lexner_errors(self, tmp_path_factory, data):
+        table, inv = toy_table()
+        p = tmp_path_factory.mktemp("fuzz") / "table.ls"
+        save_ls_table(build_ls_table(["north", "south", "flat"], table, inv), p)
+        raw = bytearray(p.read_bytes())
+        at = data.draw(st.integers(0, len(raw) - 1))
+        if data.draw(st.booleans()):
+            raw = raw[:at]
+        else:
+            raw[at] = data.draw(st.integers(0, 255))
+        p.write_bytes(bytes(raw))
+        try:
+            load_ls_table(p)
+        except LexnerError:
+            pass
 
     def test_text_debug_format(self, tmp_path):
         table, inv = toy_table()

@@ -4,7 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexner.tagger.lstm import (
+    _shift_in_zero,
     _sigmoid,
+    _swap_time,
     init_lstm_params,
     lstm_backward,
     lstm_forward,
@@ -357,6 +359,111 @@ class TestStackedDirections:
     @settings(max_examples=40, deadline=None)
     def test_random_ragged(self, lengths, seed):
         check_stacked(lengths, max(lengths), d=3, h=2, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# masking on every step
+# ---------------------------------------------------------------------------
+
+def where_lstm_forward(params, x, mask):
+    """The kernel's forward with the carry selected by np.where on every step."""
+    *stack, T, B, D = x.shape
+    wh = params["wh"]
+    H = wh.shape[-2]
+    real = mask[:, :, None] != 0
+    a_x = x.reshape(*stack, T * B, D) @ params["wx"] + params["b"][..., None, :]
+    a_x = _swap_time(a_x.reshape(*stack, T, B, 4 * H)).copy()
+    h = np.zeros((*stack, B, H))
+    c = np.zeros((*stack, B, H))
+    h_seq, c_seq, tanh_c = (np.empty((T, *stack, B, H)) for _ in range(3))
+    gates = np.empty((T, *stack, B, 4 * H))
+    for t in range(T):
+        a = h @ wh
+        a += a_x[t]
+        act = _sigmoid(a, out=gates[t])
+        i, f, g, o = act[..., :H], act[..., H : 2 * H], act[..., 2 * H : 3 * H], act[..., 3 * H :]
+        np.tanh(a[..., 2 * H : 3 * H], out=g)
+        c_cand = f * c
+        c_cand += i * g
+        np.tanh(c_cand, out=tanh_c[t])
+        h_seq[t] = np.where(real[t], o * tanh_c[t], h)
+        c_seq[t] = np.where(real[t], c_cand, c)
+        h, c = h_seq[t], c_seq[t]
+    cache = {"x": x, "real": real, "h": h_seq, "c": c_seq, "gates": gates, "tanh_c": tanh_c}
+    return _swap_time(h_seq), h, c, cache
+
+
+def where_lstm_backward(params, cache, dh_seq, dh_final, dc_final):
+    """The kernel's backward with the carry selected by np.where on every step."""
+    wx, wh = params["wx"], params["wh"]
+    x, real, gates, tanh_c = cache["x"], cache["real"], cache["gates"], cache["tanh_c"]
+    *stack, T, B, D = x.shape
+    H = wh.shape[-2]
+    h_prev = _shift_in_zero(cache["h"])
+    c_prev = _shift_in_zero(cache["c"])
+    i, f, g, o = (gates[..., k * H : (k + 1) * H] for k in range(4))
+    do_dc = o * (1.0 - tanh_c ** 2)
+    local = np.empty_like(gates)
+    local[..., :H] = g * (i * (1.0 - i))
+    local[..., H : 2 * H] = c_prev * (f * (1.0 - f))
+    local[..., 2 * H : 3 * H] = i * (1.0 - g ** 2)
+    local[..., 3 * H :] = tanh_c * (o * (1.0 - o))
+    local = local.reshape(T, *stack, B, 4, H)
+    dh_seq = _swap_time(dh_seq)
+    da = np.empty((T, *stack, B, 4, H))
+    dh, dc = dh_final.copy(), dc_final.copy()
+    wh_t = np.swapaxes(wh, -1, -2)
+    for t in range(T - 1, -1, -1):
+        dh = dh + dh_seq[t]
+        dh_cand = np.where(real[t], dh, 0.0)
+        dc_total = np.where(real[t], dc, 0.0) + dh_cand * do_dc[t]
+        da_t = da[t]
+        da_t[..., :3, :] = dc_total[..., None, :]
+        da_t[..., 3, :] = dh_cand
+        da_t *= local[t]
+        dc = np.where(real[t], dc_total * f[t], dc)
+        dh = np.where(real[t], da_t.reshape(*stack, B, 4 * H) @ wh_t, dh)
+    da = _swap_time(da.reshape(T, *stack, B, 4 * H)).reshape(*stack, T * B, 4 * H)
+    h_prev = _swap_time(h_prev).reshape(*stack, T * B, H)
+    grads = {
+        "wx": np.swapaxes(x.reshape(*stack, T * B, D), -1, -2) @ da,
+        "wh": np.swapaxes(h_prev, -1, -2) @ da,
+        "b": da.sum(axis=-2),
+    }
+    return (da @ np.swapaxes(wx, -1, -2)).reshape(*stack, T, B, D), grads
+
+
+class TestSkippedCarryMasking:
+    """Steps where every sequence is running skip the carry selection; the
+    result keeps every bit of selecting on every step."""
+
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=5), st.integers(0, 2),
+           st.booleans(), st.integers(0, 2**16))
+    @example([4, 4, 4], 0, False, 0)  # every step full
+    @example([5, 1, 3], 0, True, 1)  # one sequence ends at once
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_masking_every_step(self, lengths, pad, stacked, seed):
+        rng = np.random.default_rng(seed)
+        d, h, B, T = 3, 2, len(lengths), max(lengths) + pad
+        stack = (2,) if stacked else ()
+        ps = [make_params(rng, d, h) for _ in range(2)]
+        p = {k: np.stack([ps[0][k], ps[1][k]]) for k in ps[0]} if stacked else ps[0]
+        x = rng.normal(size=(*stack, T, B, d))
+        mask = (np.arange(T)[:, None] < np.array(lengths)[None, :]).astype(float)
+        dh_seq = rng.normal(size=(*stack, T, B, h))
+        dh_fin, dc_fin = rng.normal(size=(*stack, B, h)), rng.normal(size=(*stack, B, h))
+
+        got = lstm_forward(p, x, mask)
+        want = where_lstm_forward(p, x, mask)
+        for a, b in zip(got[:3], want[:3]):
+            assert np.array_equal(a, b)
+        for k in want[3]:
+            assert np.array_equal(got[3][k], want[3][k]), k
+        dx, grads = lstm_backward(p, got[3], dh_seq, dh_final=dh_fin, dc_final=dc_fin)
+        r_dx, r_grads = where_lstm_backward(p, want[3], dh_seq, dh_fin, dc_fin)
+        assert np.array_equal(dx, r_dx)
+        for k in ("wx", "wh", "b"):
+            assert np.array_equal(grads[k], r_grads[k]), k
 
 
 class TestSigmoid:

@@ -1,12 +1,18 @@
 """Model-level tests: feature assembly, full-network gradients, SGD
 arithmetic, the training loop, and checkpoint round trips.
 """
+import json
+import struct
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexner.corpus import Sentence, TagScheme, TypeInventory, validate_tags
 from lexner.embed import EmbeddingTable
-from lexner.errors import DataError, FormatError, NumericalError
+from lexner.errors import DataError, FormatError, LexnerError, NumericalError
 from lexner.evaluation import evaluate
 from lexner.lexsim import LSTable, build_ls_table
 from lexner.tagger import (
@@ -20,9 +26,19 @@ from lexner.tagger import (
     train,
 )
 from lexner.tagger.gradcheck import gradient_check
+from lexner.tagger.model import HEADER_OFFSET, ParamStore
 from lexner.tagger.train import global_norm
 
-from world import TYPES3, VOCAB, tagged_sentences, tiny_config, tiny_embeddings, tiny_world
+from world import (
+    BAD_CHECKPOINT_HEADERS,
+    TYPES3,
+    VOCAB,
+    edit_checkpoint_header,
+    tagged_sentences,
+    tiny_config,
+    tiny_embeddings,
+    tiny_world,
+)
 
 
 def build_tiny_model(features=("word_emb", "char", "cap", "ls"), gazetteer=None, **cfg_kw):
@@ -298,6 +314,108 @@ class TestSgd:
         assert global_norm(grads) == pytest.approx(5.0)
 
 
+def ref_sgd_step(params, grads, velocities, config, epoch):
+    """The tensor-by-tensor update: every step runs once per tensor."""
+    for k, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise NumericalError(f"non-finite gradient in parameter {k!r}")
+    if config.clip_mode == "global":
+        norm = global_norm(grads)
+        scale = config.clip_norm / norm if norm > config.clip_norm else 1.0
+        clipped = {k: g * scale for k, g in grads.items()}
+    else:
+        clipped = {k: np.clip(g, -config.clip_norm, config.clip_norm) for k, g in grads.items()}
+    lr = config.learning_rate * config.decay_rate ** epoch
+    for k in params:
+        velocities[k] = config.momentum * velocities[k] + clipped[k]
+        params[k] -= lr * velocities[k]
+
+
+class TestFlatSgd:
+    """`sgd_step` over whole `ParamStore` buffers gives the per-tensor bits."""
+
+    @pytest.mark.parametrize("clip_mode, grad_scale, clipped", [
+        ("global", 10.0, True),
+        ("global", 1e-3, False),
+        ("value", 10.0, True),
+    ])
+    def test_matches_per_tensor_reference_bitwise(self, clip_mode, grad_scale, clipped):
+        model, _, _ = build_tiny_model(clip_mode=clip_mode, momentum=0.9, decay_rate=0.95)
+        cfg, params = model.config, model.params
+        ref_params = {k: v.copy() for k, v in params.items()}
+        vel = params.zeros_like()
+        ref_vel = {k: np.zeros_like(v) for k, v in params.items()}
+        rng = np.random.default_rng(7)
+        for epoch in range(4):  # momentum carries over the steps
+            grads = params.zeros_like()
+            grads.flat[:] = rng.normal(size=grads.flat.size) * grad_scale
+            if clip_mode == "global":
+                assert (global_norm(grads) > cfg.clip_norm) == clipped
+            else:
+                assert (np.abs(grads.flat).max() > cfg.clip_norm) == clipped
+            ref_grads = {k: v.copy() for k, v in grads.items()}
+            sgd_step(params, grads, vel, cfg, epoch)
+            ref_sgd_step(ref_params, ref_grads, ref_vel, cfg, epoch)
+            for k in ref_params:
+                assert np.array_equal(params[k], ref_params[k]), k
+                assert np.array_equal(vel[k], ref_vel[k]), k
+                assert np.array_equal(grads[k], ref_grads[k]), k  # grads are not modified
+
+    def test_store_with_plain_dicts_updates_tensor_by_tensor(self):
+        model, _, _ = build_tiny_model()
+        rng = np.random.default_rng(8)
+        grads = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
+        ref_params = {k: v.copy() for k, v in model.params.items()}
+        ref_sgd_step(ref_params, dict(grads), {k: np.zeros_like(v) for k, v in grads.items()},
+                     model.config, 0)
+        sgd_step(model.params, grads, {k: np.zeros_like(v) for k, v in grads.items()},
+                 model.config, 0)
+        for k in ref_params:
+            assert np.array_equal(model.params[k], ref_params[k]), k
+
+    def test_non_finite_error_names_the_tensor(self):
+        model, _, _ = build_tiny_model()
+        grads = model.params.zeros_like()
+        grads["char_bwd.wh"][1, 2] = np.inf
+        before = model.params.flat.copy()
+        with pytest.raises(NumericalError, match="'char_bwd.wh'"):
+            sgd_step(model.params, grads, model.params.zeros_like(), model.config, 0)
+        assert np.array_equal(model.params.flat, before)
+
+
+class TestParamStore:
+    def test_names_keep_build_order_and_twins_sit_together(self):
+        model, _, _ = build_tiny_model()
+        lstm = [f"{p}_{d}.{k}" for p in ("char", "word") for d in ("fwd", "bwd")
+                for k in ("wx", "wh", "b")]
+        assert list(model.params) == (["word_emb", "char_emb"] + lstm[:6] + ["cap_emb"]
+                                      + lstm[6:] + ["proj_w", "proj_b", "trans"])
+        for prefix in ("char", "word"):
+            for k, both in model.params.stacked(prefix).items():
+                assert np.shares_memory(both, model.params.flat)
+                assert np.array_equal(both[0], model.params[f"{prefix}_fwd.{k}"])
+                assert np.array_equal(both[1], model.params[f"{prefix}_bwd.{k}"])
+                both[1] += 1.0  # a write through the stack lands in the named tensor
+                assert np.array_equal(both[1], model.params[f"{prefix}_bwd.{k}"])
+        assert model.params.flat.size == sum(v.size for v in model.params.values())
+
+    def test_assignment_copies_into_the_buffer(self):
+        store = ParamStore.from_arrays({"a": np.zeros((2, 3)), "b": np.ones(4)})
+        store["a"] = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(store.flat, [0, 1, 2, 3, 4, 5, 1, 1, 1, 1])
+        with pytest.raises(DataError):
+            store["b"] = np.ones(3)
+
+    @pytest.mark.parametrize("shapes", [
+        {"x_fwd.w": (2,), "x_bwd.w": (3,)},  # twins differ in shape
+        {"x_fwd.w": (2,), "y": (1,)},        # no twin
+        {"x_bwd.w": (2,), "x_fwd.w": (2,)},  # twin placed before
+    ])
+    def test_every_forward_tensor_needs_its_twin(self, shapes):
+        with pytest.raises(DataError):
+            ParamStore(shapes)
+
+
 # ---------------------------------------------------------------------------
 # the training loop
 # ---------------------------------------------------------------------------
@@ -349,6 +467,18 @@ class TestTraining:
         with pytest.raises(DataError):
             train([Sentence.from_words(["a"])], [], tiny_config(),
                   pretrained=table, ls_table=ls)
+
+    def test_best_dev_epoch_is_restored(self):
+        table, inv, ls = tiny_world()
+        sents = tagged_sentences()
+        # a learning rate this high makes dev F1 jump around between epochs
+        cfg = tiny_config(word_hidden=12, char_emb_dim=6, char_hidden=5, cap_emb_dim=4,
+                          dropout_prob=0.0, learning_rate=1.0, max_epochs=6, patience=6,
+                          batch_size=3, seed=3)
+        model, history = train(sents, sents, cfg, pretrained=table, ls_table=ls)
+        dev_f1 = [h["dev_f1"] for h in history]
+        assert len(dev_f1) == 6 and dev_f1[-1] < max(dev_f1)
+        assert evaluate(sents, model.tag_batch(sents)).f1 == max(dev_f1)
 
     def test_early_stopping_cuts_epochs(self):
         table, inv, ls = tiny_world()
@@ -490,6 +620,72 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="'trans' has a non-finite value") as err:
             load_checkpoint(bad, ls_table=ls)
         assert err.value.offset == at + 8
+
+    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINT_HEADERS))
+    def test_bad_header_is_format_error_at_header_offset(self, tmp_path, case):
+        model, sents, ls = build_tiny_model()
+        path = tmp_path / "model.lxnr"
+        save_checkpoint(model, path)
+        bad = tmp_path / "bad.lxnr"
+        bad.write_bytes(edit_checkpoint_header(path.read_bytes(), BAD_CHECKPOINT_HEADERS[case]))
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(bad, ls_table=ls)
+        assert err.value.offset == HEADER_OFFSET
+
+    def test_header_config_lists_every_field_in_order(self, tmp_path):
+        model, sents, ls = build_tiny_model()
+        path = tmp_path / "model.lxnr"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<I", raw[5:9])
+        header = json.loads(raw[9 : 9 + n])
+        assert list(header["config"]) == [f.name for f in fields(TaggerConfig)]
+        assert load_checkpoint(path, ls_table=ls).config == model.config
+
+    def test_huge_tensor_shape_is_truncation(self, tmp_path):
+        model, sents, ls = build_tiny_model()
+        path = tmp_path / "model.lxnr"
+        save_checkpoint(model, path)
+
+        def huge(h):
+            h["params"][-1]["shape"] = [2**40, 2**20]
+            return h
+
+        bad = tmp_path / "huge.lxnr"
+        bad.write_bytes(edit_checkpoint_header(path.read_bytes(), huge))
+        with pytest.raises(FormatError, match="truncated tensor 'trans'") as err:
+            load_checkpoint(bad, ls_table=ls)
+        assert err.value.offset == bad.stat().st_size
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_byte_flip_or_truncation_only_raises_lexner_errors(self, tmp_path_factory, data):
+        model, sents, ls = build_tiny_model()
+        path = tmp_path_factory.mktemp("fuzz") / "model.lxnr"
+        save_checkpoint(model, path)
+        raw = bytearray(path.read_bytes())
+        (n,) = struct.unpack("<I", raw[5:9])
+        # one branch aims at the JSON header, which holds most of the structure
+        at = data.draw(st.integers(0, 9 + n - 1) | st.integers(0, len(raw) - 1))
+        if data.draw(st.booleans()):
+            raw = raw[:at]
+        else:
+            raw[at] = data.draw(st.integers(0, 255))
+        path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(path, ls_table=ls).tag_batch(sents[:2])
+        except LexnerError:
+            pass
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        model, sents, ls = build_tiny_model()
+        path = tmp_path / "model.lxnr"
+        save_checkpoint(model, path)
+        end = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+        with pytest.raises(FormatError, match="trailing bytes") as err:
+            load_checkpoint(path, ls_table=ls)
+        assert err.value.offset == end
 
     def test_gazetteer_round_trip(self, tmp_path):
         gaz = Gazetteer({"metalish": ["iron rust", "gold"]}, max_n=3)
