@@ -30,6 +30,7 @@ from .corpus import (
     iter_column_sentences,
     load_column_file,
     mentions_to_tags,
+    read_text,
     tags_to_mentions,
     write_column_file,
 )
@@ -157,7 +158,7 @@ def load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = PipelineConfig()
     path = getattr(args, "config", None)
     if path:
-        parse_config_text(Path(path).read_text(encoding="utf-8"), cfg)
+        parse_config_text(read_text(path), cfg)
     seed = getattr(args, "seed", None)
     if seed is not None:
         apply_config_pair(cfg, "seed", str(seed))
@@ -188,11 +189,11 @@ def _check_output_dir(path: str) -> None:
 # Shared input handling
 # ---------------------------------------------------------------------------
 
-def _sentence_blocks(fh):
-    """Yield (first line number, block lines) per sentence, streaming."""
+def _sentence_blocks(lines):
+    """Yield (first line number, block lines) per sentence."""
     block: list[str] = []
     start = 0
-    for lineno, raw in enumerate(fh, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if stripped and stripped.split()[0] != "-DOCSTART-":
             if not block:
@@ -225,7 +226,7 @@ def _load_gazetteer(pairs: list[str] | None) -> Gazetteer | None:
             raise UsageError(f"--gazetteer expects NAME=PATH, got {pair!r}")
         entries = [
             ln.strip()
-            for ln in Path(path).read_text(encoding="utf-8").splitlines()
+            for ln in read_text(path).splitlines()
             if ln.strip()
         ]
         lists[name] = entries
@@ -255,9 +256,9 @@ def cmd_prepare_dual(args) -> int:
     inventory = TypeInventory.load(args.inventory)
     scheme = TagScheme.parse(args.scheme)
     n = 0
-    with open(args.input, encoding="utf-8") as src, \
-            open(args.output, "w", encoding="utf-8") as out:
-        for start, block in _sentence_blocks(src):
+    lines = read_text(args.input).split("\n")
+    with open(args.output, "w", encoding="utf-8") as out:
+        for start, block in _sentence_blocks(lines):
             try:
                 s = next(iter_column_sentences(block))
                 mentions = tags_to_mentions(s.tags, scheme, strict=True)
@@ -275,7 +276,7 @@ def cmd_prepare_dual(args) -> int:
 def cmd_train_embed(args) -> int:
     cfg = load_pipeline_config(args)
     _check_output_dir(args.output)
-    lines = Path(args.input).read_text(encoding="utf-8").splitlines()
+    lines = read_text(args.input).splitlines()
     progress_to_stderr(
         f"train-embed: {len(lines)} lines, dim {cfg.embed.dim}, "
         f"{cfg.embed.epochs} epochs, seed {cfg.embed.seed}"
@@ -295,7 +296,7 @@ def cmd_build_ls(args) -> int:
     cfg = load_pipeline_config(args)
     table = load_embeddings(_flag_or_path(args, cfg, "embeddings", "embeddings"))
     inventory = TypeInventory.load(_flag_or_path(args, cfg, "inventory", "inventory"))
-    vocab = Path(args.vocab).read_text(encoding="utf-8").split()
+    vocab = read_text(args.vocab).split()
     if not vocab:
         raise DataError(f"empty vocabulary file: {args.vocab}")
     ls = build_ls_table(vocab, table, inventory)

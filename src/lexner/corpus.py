@@ -11,7 +11,7 @@ from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DataError, ParseError, SchemeError
+from .errors import DataError, FormatError, ParseError, SchemeError
 
 DOCSTART = "-DOCSTART-"
 
@@ -159,7 +159,7 @@ class TypeInventory:
 
     @classmethod
     def load(cls, path: str | Path) -> "TypeInventory":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path).splitlines()
         return cls([ln.strip() for ln in lines if ln.strip()])
 
     def save(self, path: str | Path) -> None:
@@ -167,8 +167,27 @@ class TypeInventory:
 
 
 # ---------------------------------------------------------------------------
-# Column format I/O
+# Text and column format I/O
 # ---------------------------------------------------------------------------
+
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file with newlines translated, as Path.read_text gives it.
+
+    Bytes that are not UTF-8 raise FormatError naming the file, the line and
+    the byte offset of the first bad byte.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = _universal_newlines(data[: e.start].decode("utf-8")).count("\n") + 1
+        raise FormatError(f"{path}: line {line} is not UTF-8 text", e.start) from None
+    return _universal_newlines(text)
+
 
 def iter_column_sentences(
     lines: Iterable[str], require_tags: bool = True
@@ -227,8 +246,7 @@ def parse_column_text(text: str, require_tags: bool = True) -> list[Sentence]:
 
 
 def load_column_file(path: str | Path, require_tags: bool = True) -> list[Sentence]:
-    with open(path, encoding="utf-8") as fh:
-        return list(iter_column_sentences(fh, require_tags))
+    return list(iter_column_sentences(read_text(path).split("\n"), require_tags))
 
 
 def format_column(sentences: Iterable[Sentence], extra_tags: Sequence[Sequence[str]] | None = None) -> str:

@@ -264,13 +264,11 @@ class EmbeddingTable:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign so neither exp can overflow
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so the
+    # exp never overflows. e = exp(-|x|) <= 1, so the numerator max(e, x >= 0)
+    # is 1 or e; minimum and maximum return a nan operand as it is
+    e = np.exp(np.minimum(x, -x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def negative_sampling_loss(
@@ -284,10 +282,10 @@ def negative_sampling_loss(
     """
     s = rows @ h
     signed = np.where(y > 0, -s, s)
-    loss = float(np.sum(np.logaddexp(0.0, signed)))
+    loss = float(np.add.reduce(np.logaddexp(0.0, signed)))
     dscore = sigmoid(s) - y
     dh = rows.T @ dscore
-    drows = np.outer(dscore, h)
+    drows = dscore[:, None] * h
     return loss, dh, drows
 
 
@@ -337,6 +335,13 @@ class _Trainer:
 
         # bucket ids per vocab word, fixed for the whole run
         self.ngram_ids = ngram_bucket_ids(self.words, cfg.bucket_count, cfg.ngram_min, cfg.ngram_max)
+        # with no bucket repeated, a word's ufunc.at scatter into gin subtracts
+        # once per bucket, which a plain assignment does with the same bits
+        self.distinct_ngrams = [np.unique(ids).size == ids.size for ids in self.ngram_ids]
+        # labels of the widest window's rows: 1 for a context word, 0 for a negative
+        labels = np.zeros((2 * cfg.window, 1 + cfg.negatives))
+        labels[:, 0] = 1.0
+        self.labels = labels.ravel()
 
         self.total_tokens = int(sum(len(l) for l in self.lines)) * cfg.epochs
         self.processed = 0
@@ -346,13 +351,53 @@ class _Trainer:
         frac = self.processed / max(1, self.total_tokens)
         return self.cfg.learning_rate * max(0.0, 1.0 - frac)
 
-    def _draw_negatives(self, rng: np.random.Generator, target: int, k: int) -> np.ndarray:
-        negs = np.searchsorted(self.noise_cdf, rng.random(k))
+    def _negatives(self, rng: np.random.Generator, ctx: np.ndarray) -> np.ndarray:
+        """k noise words for each context word of a line, none equal to it.
+
+        Consumes the generator exactly as drawing k per context in turn
+        would, each draw followed by redraws of the entries equal to that
+        context word: the line's doubles are drawn in one block, and the
+        rare redraws are replayed from the same stream, which is extended
+        only by what the replay still needs.
+        """
+        k = self.cfg.negatives
+        n = ctx.size
+        cdf = self.noise_cdf
+        stream = cdf.searchsorted(rng.random(n * k))
+        equal = stream.reshape(n, k) == ctx[:, None]
+        if not equal.any():
+            return stream.reshape(n, k)
+        hit = equal.any(axis=1)
+
+        def upto(end: int) -> np.ndarray:
+            nonlocal stream
+            if end > stream.size:
+                stream = np.concatenate([stream, cdf.searchsorted(rng.random(end - stream.size))])
+            return stream
+
+        out = np.empty(n * k, dtype=stream.dtype)
+        pos = 0  # next unread entry of stream
+        j = 0  # next context word; hit[i] refers to context j + i
         while True:
-            bad = negs == target
-            if not bad.any():
-                return negs
-            negs[bad] = np.searchsorted(self.noise_cdf, rng.random(int(bad.sum())))
+            clean = int(hit.argmax()) if hit.any() else n - j
+            out[j * k : (j + clean) * k] = stream[pos : pos + clean * k]
+            pos += clean * k
+            j += clean
+            if j == n:
+                return out.reshape(n, k)
+            # context j: redraw its entries equal to it until none is left
+            row = stream[pos : pos + k].tolist()
+            pos += k
+            c = int(ctx[j])
+            while c in row:
+                bad = [i for i, v in enumerate(row) if v == c]
+                for i, v in zip(bad, upto(pos + len(bad))[pos : pos + len(bad)].tolist()):
+                    row[i] = v
+                pos += len(bad)
+            out[j * k : (j + 1) * k] = row
+            j += 1
+            block = upto(pos + (n - j) * k)[pos : pos + (n - j) * k]
+            hit = (block.reshape(n - j, k) == ctx[j:, None]).any(axis=1)
 
     def _train_line(self, rng: np.random.Generator, ids: np.ndarray) -> tuple[float, int]:
         cfg = self.cfg
@@ -360,42 +405,62 @@ class _Trainer:
         if len(ids) == 0:
             return 0.0, 0
         kept = ids[rng.random(len(ids)) < self.keep_prob[ids]]
-        if len(kept) < 2:
+        n = len(kept)
+        if n < 2:
             return 0.0, 0
         lr = self._lr()
+        radii = rng.integers(1, cfg.window + 1, size=n)
+
+        # every window's context words, left then right of its centre,
+        # concatenated in centre order; ends[i] closes window i
+        words = kept.tolist()
+        context: list[int] = []
+        ends = []
+        for pos, r in enumerate(radii.tolist()):
+            context += words[max(0, pos - r) : pos]
+            context += words[pos + 1 : pos + 1 + r]
+            ends.append(len(context))
+        ctx = np.array(context, dtype=np.int64)
+
+        # rows of vout per context word: the word itself, then its negatives
+        per = 1 + cfg.negatives
+        rows_idx = np.empty((ctx.size, per), dtype=np.int64)
+        rows_idx[:, 0] = ctx
+        rows_idx[:, 1:] = self._negatives(rng, ctx)
+        rows_idx = rows_idx.ravel()
+        dim = cfg.dim
+        flat_idx = (rows_idx[:, None] * dim + np.arange(dim)).ravel()
+        y = self.labels
+        vin, vout, gin = self.vin, self.vout, self.gin
+        vout_flat = vout.reshape(-1)
+        ngram_ids, distinct = self.ngram_ids, self.distinct_ngrams
         loss_sum = 0.0
-        pairs = 0
-        radii = rng.integers(1, cfg.window + 1, size=len(kept))
-        for pos in range(len(kept)):
-            center = int(kept[pos])
-            r = int(radii[pos])
-            ctx = np.concatenate([kept[max(0, pos - r) : pos], kept[pos + 1 : pos + 1 + r]])
-            if ctx.size == 0:
-                continue
-            ngrams = self.ngram_ids[center]
-            h = self.vin[center].copy()
-            if ngrams.size:
-                h += self.gin[ngrams].mean(axis=0)
-
-            rows_idx = np.empty(ctx.size * (1 + cfg.negatives), dtype=np.int64)
-            y = np.zeros(rows_idx.size)
-            for j, c in enumerate(ctx):
-                base = j * (1 + cfg.negatives)
-                rows_idx[base] = c
-                y[base] = 1.0
-                rows_idx[base + 1 : base + 1 + cfg.negatives] = self._draw_negatives(
-                    rng, int(c), cfg.negatives
-                )
-            rows = self.vout[rows_idx]
-            loss, dh, drows = negative_sampling_loss(h, rows, y)
+        start = 0
+        for center, end in zip(words, ends):
+            a, b = start * per, end * per
+            ngrams = ngram_ids[center]
+            size = ngrams.size
+            row = vin[center]
+            if size:
+                g = gin.take(ngrams, axis=0)
+                h = row + np.add.reduce(g, axis=0) / size
+            else:
+                h = row  # read by the kernel before row is updated
+            rows = vout.take(rows_idx[a:b], axis=0)
+            loss, dh, drows = negative_sampling_loss(h, rows, y[: b - a])
             loss_sum += loss
-            pairs += int(ctx.size)
-
-            np.subtract.at(self.vout, rows_idx, lr * drows)
-            self.vin[center] -= lr * dh
-            if ngrams.size:
-                np.subtract.at(self.gin, ngrams, (lr / ngrams.size) * dh)
-        return loss_sum, pairs
+            # flat offsets visit the rows' elements in the order the
+            # row-wise scatter would, so repeated rows accumulate alike
+            np.subtract.at(vout_flat, flat_idx[a * dim : b * dim], (lr * drows).ravel())
+            row -= lr * dh
+            if size:
+                upd = (lr / size) * dh
+                if distinct[center]:
+                    gin[ngrams] = g - upd
+                else:
+                    np.subtract.at(gin, ngrams, upd)
+            start = end
+        return loss_sum, len(context)
 
     def run(self) -> None:
         cfg = self.cfg

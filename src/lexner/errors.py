@@ -34,7 +34,7 @@ class SchemeError(DataError):
 
 
 class FormatError(DataError):
-    """Corrupt or incompatible binary artifact; carries a byte offset when known."""
+    """Corrupt or incompatible file; carries a byte offset when known."""
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:

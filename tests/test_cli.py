@@ -338,6 +338,75 @@ class TestPipeline:
 # ablate
 # ---------------------------------------------------------------------------
 
+def _with_bad_byte(src: Path, dst: Path) -> int:
+    """Copy src to dst with a 0xff byte opening its second line; return its offset."""
+    data = src.read_bytes()
+    cut = data.index(b"\n") + 1
+    dst.write_bytes(data[:cut] + b"\xff" + data[cut:])
+    return cut
+
+
+TRAIN_ARGS = ["--embeddings", "{d}/vectors.vec", "--ls-table", "{d}/table.lstb", *TRAIN_FLAGS]
+ABLATE_ARGS = ["--feature-sets", "char", "--runs", "1"]
+
+# every text file argument: (argv, the pipeline file whose corrupted copy is
+# {bad}); {d} is the pipeline directory and {out} a path that must not appear
+BAD_BYTE_CASES = {
+    "prepare-dual --input": (["prepare-dual", "--input", "{bad}", "--inventory", "{d}/inventory.txt",
+                              "--output", "{out}"], "distant.txt"),
+    "prepare-dual --inventory": (["prepare-dual", "--input", "{d}/distant.txt", "--inventory", "{bad}",
+                                  "--output", "{out}"], "inventory.txt"),
+    "train-embed --input": (["train-embed", "--input", "{bad}", "--output", "{out}"], "dual.txt"),
+    "train-embed --config": (["train-embed", "--input", "{d}/dual.txt", "--output", "{out}",
+                              "--config", "{bad}"], None),
+    "build-ls --vocab": (["build-ls", "--embeddings", "{d}/vectors.vec", "--inventory",
+                          "{d}/inventory.txt", "--vocab", "{bad}", "--output", "{out}"], "vocab.txt"),
+    "build-ls --inventory": (["build-ls", "--embeddings", "{d}/vectors.vec", "--inventory", "{bad}",
+                              "--vocab", "{d}/vocab.txt", "--output", "{out}"], "inventory.txt"),
+    "inspect --inventory": (["inspect", "--embeddings", "{d}/vectors.vec", "--inventory", "{bad}",
+                             "--word", "paris"], "inventory.txt"),
+    "train-ner --train": (["train-ner", "--train", "{bad}", "--dev", "{d}/dev.txt",
+                           "--output", "{out}", *TRAIN_ARGS], "train.txt"),
+    "train-ner --dev": (["train-ner", "--train", "{d}/train.txt", "--dev", "{bad}",
+                         "--output", "{out}", *TRAIN_ARGS], "dev.txt"),
+    "train-ner --gazetteer": (["train-ner", "--train", "{d}/train.txt", "--dev", "{d}/dev.txt",
+                               "--output", "{out}", *TRAIN_ARGS, "--gazetteer", "places={bad}"],
+                              "vocab.txt"),
+    "tag --input": (["tag", "--checkpoint", "{d}/model.ckpt", "--ls-table", "{d}/table.lstb",
+                     "--input", "{bad}", "--output", "{out}"], "test.txt"),
+    "eval --gold": (["eval", "--gold", "{bad}", "--pred", "{d}/pred.txt"], "test.txt"),
+    "eval --pred": (["eval", "--gold", "{d}/test.txt", "--pred", "{bad}"], "pred.txt"),
+    "ablate --train": (["ablate", "--train", "{bad}", "--dev", "{d}/dev.txt", "--test", "{d}/test.txt",
+                        *ABLATE_ARGS], "train.txt"),
+    "ablate --dev": (["ablate", "--train", "{d}/train.txt", "--dev", "{bad}", "--test", "{d}/test.txt",
+                      *ABLATE_ARGS], "dev.txt"),
+    "ablate --test": (["ablate", "--train", "{d}/train.txt", "--dev", "{d}/dev.txt", "--test", "{bad}",
+                       *ABLATE_ARGS], "test.txt"),
+    "ablate --gazetteer": (["ablate", "--train", "{d}/train.txt", "--dev", "{d}/dev.txt",
+                            "--test", "{d}/test.txt", *ABLATE_ARGS, "--gazetteer", "places={bad}"],
+                           "vocab.txt"),
+}
+
+
+class TestNonUtf8Inputs:
+    @pytest.mark.parametrize("case", sorted(BAD_BYTE_CASES))
+    def test_bad_byte_is_data_error_naming_file_line_and_offset(self, pipe, tmp_path, capsys, case):
+        argv, source = BAD_BYTE_CASES[case]
+        if source is None:  # a config file of our own
+            src = tmp_path / "config.txt"
+            src.write_text("embed.dim = 8\nembed.epochs = 1\n")
+        else:
+            src = pipe / source
+        bad = tmp_path / ("bad-" + src.name)
+        offset = _with_bad_byte(src, bad)
+        out = tmp_path / "out"
+        assert main([a.format(d=pipe, bad=bad, out=out) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lexner: ") and "Traceback" not in err
+        assert f"{bad}: line 2 is not UTF-8 text (at byte offset {offset})" in err
+        assert not out.exists()
+
+
 class TestAblate:
     def test_combined_features_beat_each_alone(self, pipe, capsys):
         rc = main(["ablate", "--train", str(pipe / "train.txt"),

@@ -13,12 +13,14 @@ from lexner.corpus import (
     capitalization_class,
     convert_scheme,
     format_column,
+    iter_column_sentences,
     load_column_file,
     mentions_to_tags,
     parse_column_text,
+    read_text,
     tags_to_mentions,
 )
-from lexner.errors import DataError, ParseError, SchemeError
+from lexner.errors import DataError, FormatError, LexnerError, ParseError, SchemeError
 
 SAMPLE = """\
 EU B-ORG
@@ -82,6 +84,79 @@ class TestColumnFormat:
         sents = parse_column_text("a B-PER\nb O\n")
         out = format_column(sents, extra_tags=[["O", "B-LOC"]])
         assert out == "a B-PER O\nb O B-LOC\n"
+
+
+def _load_by_file_iteration(path):
+    """load_column_file as a text-mode file iterator: universal newlines."""
+    with open(path, encoding="utf-8") as fh:
+        return list(iter_column_sentences(fh))
+
+
+def _outcome(load, path):
+    try:
+        return [(s.words, s.tags, s.doc_index) for s in load(path)]
+    except LexnerError as e:
+        return type(e), str(e)
+
+
+class TestReadText:
+    def test_newlines_translated_like_path_read_text(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes("\ufeffa\r\nb\rc\n\r\nd\x85e\u2028f\x0cg\r".encode("utf-8"))
+        assert read_text(p) == p.read_text(encoding="utf-8")
+
+    def test_bad_byte_names_file_line_and_offset(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes(b"a O\r\nb O\rca\xcc\xa7\xe9 O\n")
+        with pytest.raises(FormatError, match=r"t\.txt: line 3 is not UTF-8 text") as err:
+            read_text(p)
+        assert err.value.offset == 13
+
+    def test_truncated_multibyte_character_at_end(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes("a O\n\nb O\n東".encode("utf-8")[:-1])
+        with pytest.raises(FormatError, match="line 4") as err:
+            read_text(p)
+        assert err.value.offset == 9
+
+    def test_inventory_load_uses_it(self, tmp_path):
+        p = tmp_path / "types.txt"
+        p.write_bytes(b"/person\n/aw\xffard\n")
+        with pytest.raises(FormatError, match="line 2") as err:
+            TypeInventory.load(p)
+        assert err.value.offset == 11
+
+    @given(st.lists(st.sampled_from(["a", "É", "東", "O", "B-X", "U-X", " ", "\t", "\n", "\r",
+                                     "\x85", "\u2028", "\x0c", "\x1e", "-DOCSTART-"]),
+                    max_size=40).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_column_file_parses_as_file_iteration_did(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("col") / "c.txt"
+        p.write_bytes(text.encode("utf-8"))
+        assert _outcome(load_column_file, p) == _outcome(_load_by_file_iteration, p)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_byte_flip_or_truncation_only_raises_lexner_errors(self, tmp_path_factory, data):
+        p = tmp_path_factory.mktemp("fuzz") / "c.txt"
+        raw = bytearray((SAMPLE + "\nZürich U-LOC\n東京 U-LOC\n\n-DOCSTART- O\n").encode("utf-8"))
+        at = data.draw(st.integers(0, len(raw) - 1))
+        if data.draw(st.booleans()):
+            raw = raw[:at]
+        else:
+            raw[at] = data.draw(st.integers(0, 255))
+        p.write_bytes(bytes(raw))
+        try:
+            bytes(raw).decode("utf-8")
+        except UnicodeDecodeError as e:
+            with pytest.raises(FormatError) as err:
+                load_column_file(p)
+            assert err.value.offset == e.start
+            return
+        try:
+            load_column_file(p)
+        except LexnerError:
+            pass
 
 
 class TestSchemes:

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lexner import embed
@@ -243,6 +243,199 @@ def small_config(**kw) -> EmbedConfig:
                 subsample_threshold=0.0, seed=11, learning_rate=0.05)
     base.update(kw)
     return EmbedConfig(**base)
+
+
+def ref_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The masked form: each sign's half computed on its own compacted array."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_negative_sampling_loss(h, rows, y):
+    s = rows @ h
+    signed = np.where(y > 0, -s, s)
+    loss = float(np.sum(np.logaddexp(0.0, signed)))
+    dscore = ref_sigmoid(s) - y
+    return loss, rows.T @ dscore, np.outer(dscore, h)
+
+
+class RefTrainer(embed._Trainer):
+    """The per-context trainer: k draws (plus redraws) per context word and a
+    row block built context by context, with ufunc.at scatters into vout and
+    the buckets."""
+
+    redraws = 0
+
+    def _draw_negatives(self, rng, target, k):
+        negs = np.searchsorted(self.noise_cdf, rng.random(k))
+        while True:
+            bad = negs == target
+            if not bad.any():
+                return negs
+            self.redraws += 1
+            negs[bad] = np.searchsorted(self.noise_cdf, rng.random(int(bad.sum())))
+
+    def _train_line(self, rng, ids):
+        cfg = self.cfg
+        self.processed += len(ids)
+        if len(ids) == 0:
+            return 0.0, 0
+        kept = ids[rng.random(len(ids)) < self.keep_prob[ids]]
+        if len(kept) < 2:
+            return 0.0, 0
+        lr = self._lr()
+        loss_sum = 0.0
+        pairs = 0
+        radii = rng.integers(1, cfg.window + 1, size=len(kept))
+        for pos in range(len(kept)):
+            center = int(kept[pos])
+            r = int(radii[pos])
+            ctx = np.concatenate([kept[max(0, pos - r) : pos], kept[pos + 1 : pos + 1 + r]])
+            if ctx.size == 0:
+                continue
+            ngrams = self.ngram_ids[center]
+            h = self.vin[center].copy()
+            if ngrams.size:
+                h += self.gin[ngrams].mean(axis=0)
+            rows_idx = np.empty(ctx.size * (1 + cfg.negatives), dtype=np.int64)
+            y = np.zeros(rows_idx.size)
+            for j, c in enumerate(ctx):
+                base = j * (1 + cfg.negatives)
+                rows_idx[base] = c
+                y[base] = 1.0
+                rows_idx[base + 1 : base + 1 + cfg.negatives] = self._draw_negatives(
+                    rng, int(c), cfg.negatives
+                )
+            loss, dh, drows = ref_negative_sampling_loss(h, self.vout[rows_idx], y)
+            loss_sum += loss
+            pairs += int(ctx.size)
+            np.subtract.at(self.vout, rows_idx, lr * drows)
+            self.vin[center] -= lr * dh
+            if ngrams.size:
+                np.subtract.at(self.gin, ngrams, (lr / ngrams.size) * dh)
+        return loss_sum, pairs
+
+
+def run_recorded(cls, lines, cfg):
+    """Train with cls; also return (loss, pairs, generator state) per line."""
+    record = []
+
+    class Recording(cls):
+        def _train_line(self, rng, ids):
+            out = super()._train_line(rng, ids)
+            record.append((out, rng.bit_generator.state))
+            return out
+
+    trainer = Recording(lines, cfg)
+    trainer.run()
+    return trainer, record
+
+
+def assert_same_training(lines, cfg):
+    got, got_record = run_recorded(embed._Trainer, lines, cfg)
+    ref, ref_record = run_recorded(RefTrainer, lines, cfg)
+    assert got.vin.tobytes() == ref.vin.tobytes()
+    assert got.gin.tobytes() == ref.gin.tobytes()
+    assert got.vout.tobytes() == ref.vout.tobytes()
+    assert got.epoch_losses == ref.epoch_losses
+    assert got_record == ref_record
+    return got, ref
+
+
+class TestSigmoid:
+    def test_special_values_bitwise_equal_to_masked_form(self):
+        nan = np.float64("nan")
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 1e4, -1e4,
+                      np.inf, -np.inf, nan, -nan, 36.0, -36.0, 745.2, -745.2])
+        assert embed.sigmoid(x).tobytes() == ref_sigmoid(x).tobytes()
+        assert embed.sigmoid(x).dtype == np.float64
+
+    def test_dense_grid_bitwise_equal_to_masked_form(self):
+        x = np.linspace(-800.0, 800.0, 400_001)
+        assert embed.sigmoid(x).tobytes() == ref_sigmoid(x).tobytes()
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=70))
+    @settings(max_examples=200, deadline=None)
+    def test_any_float64_bitwise_equal_to_masked_form(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert embed.sigmoid(x).tobytes() == ref_sigmoid(x).tobytes()
+
+
+# words for the trainer oracle: repeated letters give repeated n-grams, type
+# tokens have none, and 1-2 letter words have few
+_train_words = st.one_of(
+    st.text("ab", min_size=1, max_size=9),
+    st.sampled_from(["aaaaaa", "abab", "abababab", "x", "yz", "/t1", "/t2", "café"]),
+)
+
+
+@st.composite
+def _training_setups(draw):
+    words = draw(st.lists(_train_words, min_size=2, max_size=8, unique=True))
+    line = st.lists(st.sampled_from(words), max_size=12).map(" ".join)
+    lines = draw(st.lists(line, min_size=1, max_size=12))
+    nmin = draw(st.integers(1, 3))
+    cfg = EmbedConfig(
+        dim=draw(st.integers(1, 8)),
+        window=draw(st.integers(1, 6)),
+        negatives=draw(st.integers(1, 8)),
+        min_count=draw(st.integers(1, 2)),
+        ngram_min=nmin,
+        ngram_max=nmin + draw(st.integers(0, 3)),
+        bucket_count=draw(st.sampled_from([1, 2, 5, 31, 997])),
+        epochs=draw(st.integers(1, 2)),
+        learning_rate=draw(st.sampled_from([0.05, 0.5])),
+        subsample_threshold=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return lines, cfg
+
+
+class TestExactTrainer:
+    """The window-batched trainer against the per-context reference: `==` on
+    every array, every epoch loss and the generator state after every line."""
+
+    @given(_training_setups())
+    @settings(max_examples=150, deadline=None)
+    @example((["", "a", "a b", "b a a", ""], small_config(min_count=1, window=1, negatives=1)))
+    def test_bitwise_equal_to_per_context_reference(self, setup):
+        lines, cfg = setup
+        try:
+            vocab = embed._Trainer(lines, cfg).words
+        except DataError:
+            vocab = []  # nothing survives the cutoff
+        # a one-word vocabulary has no negative that differs from a context
+        assume(len(vocab) >= 2)
+        assert_same_training(lines, cfg)
+
+    def test_tiny_corpus_seeds(self):
+        for seed in range(3):
+            assert_same_training(tiny_corpus(), small_config(seed=seed))
+
+    def test_wide_window_many_negatives_no_subsampling(self):
+        lines = [" ".join(f"w{(i * 7 + j) % 23}" for j in range(i % 17)) for i in range(120)]
+        for dim, window, k in [(8, 7, 8), (16, 3, 1)]:
+            assert_same_training(lines, small_config(dim=dim, window=window, negatives=k,
+                                                     min_count=1, epochs=2))
+
+    def test_redraws_and_repeated_buckets_are_exercised(self):
+        # two words: about half of the first draws equal their context word
+        lines = ["aaaaaa ab aaaaaa ab ab", "ab aaaaaa", "aaaaaa"] * 10
+        cfg = small_config(min_count=1, bucket_count=5, negatives=8, window=4, epochs=1)
+        trainer, ref = assert_same_training(lines, cfg)
+        assert ref.redraws > 0
+        assert not all(trainer.distinct_ngrams)
+        assert any(trainer.distinct_ngrams)
+
+    def test_one_and_no_token_lines_consume_what_the_reference_does(self):
+        lines = ["", "aaa", "aaa bbb", "bbb", "  ", "aaa bbb aaa"] * 4
+        assert_same_training(lines, small_config(min_count=1))
+        assert_same_training(lines, small_config(min_count=1, subsample_threshold=0.3))
 
 
 class TestTraining:
