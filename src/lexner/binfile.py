@@ -1,0 +1,82 @@
+"""Byte-level rules of the binary files: checkpoints, LS tables and the
+subword section of vector files. A file or section opens with a magic and a
+version byte; little-endian fields, u16-length-prefixed UTF-8 strings and
+float32 blocks follow. A `Reader` checks that bytes exist before reading
+them, so a corrupt length or shape is a truncation at the offset where the
+bytes ran out, never a huge allocation; a bad value is an error at its own.
+"""
+from __future__ import annotations
+
+import struct
+
+import numpy as np
+
+from .errors import DataError, FormatError
+
+
+def pack(fmt: str, *values) -> bytes:
+    return struct.pack("<" + fmt, *values)
+
+
+def header(magic: bytes, version: int, fmt: str, *values) -> bytes:
+    """Magic, version byte, then the header fields `fmt` describes."""
+    return magic + pack("B" + fmt, version, *values)
+
+
+def string(s: str) -> bytes:
+    b = s.encode("utf-8")
+    if len(b) > 0xFFFF:
+        raise DataError(f"string too long to serialize: {len(b)} bytes")
+    return pack("H", len(b)) + b
+
+
+def floats(values) -> bytes:
+    return np.asarray(values, dtype="<f4").tobytes()
+
+
+class Reader:
+    """Fields read in order from a file's bytes, from offset `at` on."""
+
+    def __init__(self, data: bytes, at: int = 0):
+        self.data = memoryview(data)
+        self.at = at
+
+    def take(self, n: int, what: str) -> memoryview:
+        if self.at + n > len(self.data):
+            raise FormatError(f"truncated {what}", len(self.data))
+        self.at += n
+        return self.data[self.at - n : self.at]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt), what))
+
+    def header(self, magic: bytes, version: int, what: str, fmt: str) -> tuple:
+        """Check the magic and the version byte, then return the fields after them."""
+        at = self.at
+        got, found, *fields = self.unpack(f"{len(magic)}sB" + fmt, f"{what} header")
+        if got != magic:
+            raise FormatError(f"bad {what} magic {got!r}", at)
+        if found != version:
+            raise FormatError(f"unsupported {what} version {found}", at + len(magic))
+        return tuple(fields)
+
+    def string(self, what: str) -> str:
+        (n,) = self.unpack("H", f"{what} length")
+        at = self.at
+        try:
+            return str(self.take(n, what), "utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{what} is not valid UTF-8", at) from None
+
+    def floats(self, count: int, what: str) -> np.ndarray:
+        """`count` finite float32 values, as a read-only array over the bytes."""
+        at = self.at
+        values = np.frombuffer(self.take(4 * count, what), dtype="<f4")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise FormatError(f"{what} has a non-finite value", at + 4 * int(finite.argmin()))
+        return values
+
+    def end(self, what: str) -> None:
+        if self.at != len(self.data):
+            raise FormatError(f"trailing bytes after the {what}", self.at)

@@ -47,7 +47,7 @@ from .lexsim import (
 from .synth import distant_sentences, make_world, ner_dataset
 from .tagger import Gazetteer, TaggerConfig, TaggerModel, train
 from .tagger.gradcheck import gradient_check
-from .tagger.model import FEATURE_NAMES, load_checkpoint, save_checkpoint
+from .tagger.model import load_checkpoint, save_checkpoint
 from .tagger.train import progress_to_stderr
 
 _PATH_KEYS = ("embeddings", "ls_table", "inventory")
@@ -74,18 +74,12 @@ class PipelineConfig:
     paths: dict[str, str] = field(default_factory=dict)
 
 
-def check_features(names) -> tuple[str, ...]:
-    feats = tuple(names)
-    if not feats:
-        raise UsageError("empty feature set")
-    for name in feats:
-        if name not in FEATURE_NAMES:
-            raise UsageError(
-                f"unknown feature {name!r}; known: {', '.join(FEATURE_NAMES)}"
-            )
-    if len(set(feats)) != len(feats):
-        raise UsageError(f"duplicate feature in {feats}")
-    return feats
+def _with_features(tcfg: TaggerConfig, features) -> TaggerConfig:
+    """tcfg with another feature set; a bad set is a usage error."""
+    try:
+        return replace(tcfg, features=features)
+    except DataError as e:
+        raise UsageError(str(e)) from None
 
 
 def _coerce(key: str, raw: str, template):
@@ -133,8 +127,8 @@ def apply_config_pair(cfg: PipelineConfig, key: str, raw: str) -> None:
             raise UsageError(f"unknown config key: {key!r}")
         value = _coerce(key, raw, known[name])
         if key == "tagger.features":
-            value = check_features(value)
-        if section == "embed":
+            cfg.tagger = _with_features(cfg.tagger, value)
+        elif section == "embed":
             cfg.embed = replace(cfg.embed, **{name: value})
         else:
             cfg.tagger = replace(cfg.tagger, **{name: value})
@@ -380,17 +374,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_feature_sets(spec: str) -> list[tuple[str, ...]]:
+def _parse_feature_sets(spec: str, tcfg: TaggerConfig) -> list[tuple[str, ...]]:
     groups = [g for g in (part.strip() for part in spec.split(";")) if g]
     if not groups:
         raise UsageError("empty --feature-sets")
-    return [check_features(_coerce("feature set", g, ())) for g in groups]
+    return [_with_features(tcfg, _coerce("feature set", g, ())).features for g in groups]
 
 
 def cmd_ablate(args) -> int:
     cfg = load_pipeline_config(args)
     scheme = TagScheme.parse(args.scheme)
-    feature_sets = _parse_feature_sets(args.feature_sets)
+    feature_sets = _parse_feature_sets(args.feature_sets, cfg.tagger)
     if args.runs < 1:
         raise UsageError(f"--runs must be >= 1, got {args.runs}")
     train_set = _load_tagged(args.train, scheme)

@@ -242,11 +242,12 @@ def iter_column_sentences(
 
 
 def parse_column_text(text: str, require_tags: bool = True) -> list[Sentence]:
-    return list(iter_column_sentences(text.splitlines(), require_tags))
+    """Sentences of column text; lines end at "\n", "\r\n" or "\r" only."""
+    return list(iter_column_sentences(_universal_newlines(text).split("\n"), require_tags))
 
 
 def load_column_file(path: str | Path, require_tags: bool = True) -> list[Sentence]:
-    return list(iter_column_sentences(read_text(path).split("\n"), require_tags))
+    return parse_column_text(read_text(path), require_tags)
 
 
 def format_column(sentences: Iterable[Sentence], extra_tags: Sequence[Sequence[str]] | None = None) -> str:

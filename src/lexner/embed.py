@@ -8,14 +8,15 @@ so rare labels survive into the vocabulary.
 """
 from __future__ import annotations
 
+import io
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import binfile
 from .errors import DataError, FormatError, NumericalError
 
 FNV_OFFSET = 0x811C9DC5
@@ -23,7 +24,7 @@ FNV_PRIME = 0x01000193
 
 SUBWORD_MAGIC = b"SUBV"
 SUBWORD_VERSION = 1
-_SUBWORD_HEADER = "<BBBIIQ"
+_SUBWORD_FIELDS = "BBIIQ"  # n-gram min and max, bucket count, dim, seed
 
 
 def is_type_token(word: str) -> bool:
@@ -305,8 +306,11 @@ class _Trainer:
     def __init__(self, lines: Sequence[str], cfg: EmbedConfig):
         self.cfg = cfg
         self.words, self.counts = _build_vocab(lines, cfg)
-        if not self.words:
-            raise DataError("no words survive the frequency cutoff")
+        if len(self.words) < 2:
+            # with one word every noise draw equals the context word
+            raise DataError(
+                f"{len(self.words)} words survive the frequency cutoff; "
+                "negative sampling needs at least two")
         self.word_index = {w: i for i, w in enumerate(self.words)}
         self.lines = [
             np.array(
@@ -516,26 +520,22 @@ def save_embeddings(table: EmbeddingTable, path: str | Path, subword: bool = Tru
             row = " ".join(f"{x:.9g}" for x in table.vectors[i])
             fh.write(f"{w} {row}\n".encode("utf-8"))
         if subword and table.bucket_vectors is not None:
-            fh.write(SUBWORD_MAGIC)
-            fh.write(
-                struct.pack(
-                    _SUBWORD_HEADER,
-                    SUBWORD_VERSION,
-                    table.ngram_min,
-                    table.ngram_max,
-                    table.bucket_vectors.shape[0],
-                    table.dim,
-                    table.seed,
-                )
-            )
-            fh.write(table.bucket_vectors.astype("<f4").tobytes())
+            fh.write(binfile.header(
+                SUBWORD_MAGIC, SUBWORD_VERSION, _SUBWORD_FIELDS, table.ngram_min, table.ngram_max,
+                table.bucket_vectors.shape[0], table.dim, table.seed,
+            ))
+            fh.write(binfile.floats(table.bucket_vectors))
 
 
 def _parse_row(fields: list[bytes], dim: int, row: int, offset: int) -> tuple[str, list[float]]:
     if len(fields) != dim + 1:
         raise FormatError(f"row {row} has {len(fields) - 1} values, expected {dim}", offset)
     try:
-        return fields[0].decode("utf-8"), [float(x) for x in fields[1:]]
+        word = fields[0].decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"row {row} word is not valid UTF-8", offset) from None
+    try:
+        return word, [float(x) for x in fields[1:]]
     except ValueError:
         raise FormatError(f"row {row} has a non-numeric value", offset) from None
 
@@ -558,7 +558,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     (one "word v1 .. v_dim" row per line) as produced by some third-party
     pretrained-embedding releases.
     """
-    with open(path, "rb") as fh:
+    data = Path(path).read_bytes()
+    with io.BytesIO(data) as fh:
         first = fh.readline()
         if not first.strip():
             raise FormatError("empty embedding file", 0)
@@ -596,30 +597,16 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             return EmbeddingTable(words, _finite_rows(rows, offsets))
 
         vectors = _finite_rows(rows, offsets)
-        magic_at = fh.tell()
-        magic = fh.read(4)
-        if not magic:
-            return EmbeddingTable(words, vectors)
-        if magic != SUBWORD_MAGIC:
-            raise FormatError(f"unexpected trailing bytes {magic!r}", magic_at)
-        head_size = struct.calcsize(_SUBWORD_HEADER)
-        head = fh.read(head_size)
-        if len(head) < head_size:
-            raise FormatError("truncated subword header", magic_at + 4)
-        version, nmin, nmax, nbuckets, sdim, seed = struct.unpack(_SUBWORD_HEADER, head)
-        if version != SUBWORD_VERSION:
-            raise FormatError(f"unsupported subword section version {version}", magic_at + 4)
-        if sdim != dim:
-            raise FormatError(f"subword dim {sdim} != vector dim {dim}", magic_at + 4)
-        data_at = fh.tell()
-        raw = fh.read(nbuckets * dim * 4)
-        if len(raw) < nbuckets * dim * 4:
-            raise FormatError(
-                f"truncated subword data: {len(raw)} of {nbuckets * dim * 4} bytes",
-                data_at + len(raw),
-            )
-        buckets = np.frombuffer(raw, dtype="<f4").reshape(nbuckets, dim).copy()
-        if not np.isfinite(buckets).all():
-            k = int(np.flatnonzero(~np.isfinite(buckets))[0])
-            raise FormatError("subword bucket data has a non-finite value", data_at + 4 * k)
-        return EmbeddingTable(words, vectors, buckets, ngram_min=nmin, ngram_max=nmax, seed=seed)
+        r = binfile.Reader(data, fh.tell())
+    if r.at == len(data):
+        return EmbeddingTable(words, vectors)
+    section = r.at
+    nmin, nmax, nbuckets, sdim, seed = r.header(
+        SUBWORD_MAGIC, SUBWORD_VERSION, "subword section", _SUBWORD_FIELDS)
+    if sdim != dim or not nbuckets or not 0 < nmin <= nmax:
+        raise FormatError(
+            f"bad subword header: dim {sdim} for vectors of dim {dim}, {nbuckets} buckets, "
+            f"n-grams [{nmin}, {nmax}]", section)
+    buckets = r.floats(nbuckets * dim, "subword bucket data").reshape(nbuckets, dim).copy()
+    r.end("subword bucket data")
+    return EmbeddingTable(words, vectors, buckets, ngram_min=nmin, ngram_max=nmax, seed=seed)

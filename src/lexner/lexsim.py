@@ -15,12 +15,12 @@ row, so a word gets the same bits whatever batch it is computed in.
 """
 from __future__ import annotations
 
-import struct
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import binfile
 from .corpus import TypeInventory
 from .embed import EmbeddingTable
 from .errors import DataError, FormatError
@@ -206,84 +206,41 @@ def top_k_types(
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _write_str(fh, s: str) -> None:
-    b = s.encode("utf-8")
-    if len(b) > 0xFFFF:
-        raise DataError(f"string too long to serialize: {len(b)} bytes")
-    fh.write(struct.pack("<H", len(b)))
-    fh.write(b)
-
-
-def _read_str(fh, what: str) -> str:
-    at = fh.tell()
-    raw = fh.read(2)
-    if len(raw) < 2:
-        raise FormatError(f"truncated {what} length", at)
-    (n,) = struct.unpack("<H", raw)
-    b = fh.read(n)
-    if len(b) < n:
-        raise FormatError(f"truncated {what}", at + 2)
-    try:
-        return b.decode("utf-8")
-    except UnicodeDecodeError:
-        raise FormatError(f"{what} is not valid UTF-8", at + 2) from None
-
-
 def save_ls_table(table: LSTable, path: str | Path) -> None:
     """Binary format: magic, version, dim, the inventory labels in order,
-    record count, then one (word, dim x float32 LE) record per entry."""
+    record count, then one (word, dim x float32) record per entry."""
     with open(path, "wb") as fh:
-        fh.write(LS_MAGIC)
-        fh.write(struct.pack("<BI", LS_VERSION, table.dim))
-        for label in table.inventory:
-            _write_str(fh, label)
-        fh.write(struct.pack("<Q", len(table.entries)))
-        for w, vec in table.entries.items():
-            _write_str(fh, w)
-            fh.write(np.ascontiguousarray(vec, dtype="<f4").tobytes())
+        fh.write(binfile.header(LS_MAGIC, LS_VERSION, "I", table.dim))
+        fh.write(b"".join(map(binfile.string, table.inventory)))
+        fh.write(binfile.pack("Q", len(table.entries)))
+        fh.write(b"".join(binfile.string(w) + binfile.floats(v) for w, v in table.entries.items()))
 
 
 def load_ls_table(
     path: str | Path, expected_inventory: TypeInventory | None = None
 ) -> LSTable:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != LS_MAGIC:
-            raise FormatError(f"not an LS table file (magic {magic!r})", 0)
-        head = fh.read(5)
-        if len(head) < 5:
-            raise FormatError("truncated header", 4)
-        version, dim = struct.unpack("<BI", head)
-        if version != LS_VERSION:
-            raise FormatError(f"unsupported LS table version {version}", 4)
-        labels = [_read_str(fh, f"label {i}") for i in range(dim)]
-        inventory = TypeInventory(labels)
-        if expected_inventory is not None and inventory != expected_inventory:
-            raise DataError("LS table inventory does not match the expected inventory")
-        at = fh.tell()
-        raw = fh.read(8)
-        if len(raw) < 8:
-            raise FormatError("truncated record count", at)
-        (count,) = struct.unpack("<Q", raw)
-        words: list[str] = []
-        starts: list[int] = []
-        values: list[bytes] = []
-        for i in range(count):
-            starts.append(fh.tell())
-            words.append(_read_str(fh, f"record {i} word"))
-            at = fh.tell()
-            vec_raw = fh.read(dim * 4)
-            if len(vec_raw) < dim * 4:
-                raise FormatError(f"truncated record {i} values", at + len(vec_raw))
-            values.append(vec_raw)
-        vectors = np.frombuffer(b"".join(values), dtype="<f4").reshape(count, dim)
-        finite = np.isfinite(vectors).all(axis=1)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise FormatError(f"record {i} ({words[i]!r}) has a non-finite value", starts[i])
-        table = LSTable(inventory)
-        table.entries = dict(zip(words, vectors.astype(np.float32)))
-        return table
+    r = binfile.Reader(Path(path).read_bytes())
+    (dim,) = r.header(LS_MAGIC, LS_VERSION, "LS table", "I")
+    inventory = TypeInventory([r.string(f"label {i}") for i in range(dim)])
+    if expected_inventory is not None and inventory != expected_inventory:
+        raise DataError("LS table inventory does not match the expected inventory")
+    (count,) = r.unpack("Q", "record count")
+    words: list[str] = []
+    starts: list[int] = []
+    values: list[memoryview] = []
+    for i in range(count):
+        starts.append(r.at)
+        words.append(r.string(f"record {i} word"))
+        values.append(r.take(4 * dim, f"record {i} values"))
+    r.end("last record")
+    vectors = np.frombuffer(b"".join(values), dtype="<f4").reshape(count, dim)
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise FormatError(f"record {i} ({words[i]!r}) has a non-finite value", starts[i])
+    table = LSTable(inventory)
+    table.entries = dict(zip(words, vectors.astype(np.float32)))
+    return table
 
 
 def save_ls_table_text(table: LSTable, path: str | Path) -> None:

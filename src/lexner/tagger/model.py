@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import struct
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
@@ -32,6 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .. import binfile
 from ..corpus import Sentence, capitalization_class
 from ..embed import EmbeddingTable
 from ..errors import DataError, FormatError
@@ -76,7 +75,8 @@ class TaggerConfig:
             self.features = tuple(self.features)
         for f in self.features:
             if f not in FEATURE_NAMES:
-                raise DataError(f"unknown feature block: {f!r}")
+                raise DataError(
+                    f"unknown feature block: {f!r}; known: {', '.join(FEATURE_NAMES)}")
         if len(set(self.features)) != len(self.features):
             raise DataError("duplicate feature blocks")
         if not self.features:
@@ -533,7 +533,7 @@ def param_names(config: TaggerConfig) -> list[str]:
     return names + lstm("word") + ["proj_w", "proj_b", "trans"]
 
 
-HEADER_OFFSET = 9  # magic (4 bytes), version (1), header length (4)
+HEADER_OFFSET = len(binfile.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "I", 0))  # JSON start
 HEADER_KEYS = ("version", "config", "tags", "chars", "words", "params", "ls_hash", "gazetteer")
 
 
@@ -617,11 +617,9 @@ def save_checkpoint(model: TaggerModel, path: str | Path) -> None:
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<BI", CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
+        fh.write(binfile.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "I", len(blob)) + blob)
         for v in model.params.values():
-            fh.write(np.ascontiguousarray(v, dtype="<f4").tobytes())
+            fh.write(binfile.floats(v))
 
 
 def load_checkpoint(path: str | Path, ls_table: LSTable | None = None) -> TaggerModel:
@@ -630,38 +628,16 @@ def load_checkpoint(path: str | Path, ls_table: LSTable | None = None) -> Tagger
     A model that uses the LS block needs the same table it was trained
     with; the stored content hash guards against a silent swap.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"not a checkpoint file (magic {magic!r})", 0)
-        head = fh.read(5)
-        if len(head) < 5:
-            raise FormatError("truncated checkpoint header", 4)
-        version, blob_len = struct.unpack("<BI", head)
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}", 4)
-        blob = fh.read(blob_len)
-        if len(blob) < blob_len:
-            raise FormatError("truncated checkpoint metadata", HEADER_OFFSET)
-        header = _read_header(blob)
-        cfg = header["config"]
-
-        size = os.fstat(fh.fileno()).st_size
-        params: dict[str, np.ndarray] = {}
-        for spec in header["params"]:
-            shape = tuple(spec["shape"])
-            count = math.prod(shape)
-            at = fh.tell()
-            if at + count * 4 > size:  # checked before reading: a corrupt shape can be huge
-                raise FormatError(f"truncated tensor {spec['name']!r}", size)
-            raw = fh.read(count * 4)
-            values = np.frombuffer(raw, dtype="<f4")
-            if not np.isfinite(values).all():
-                k = int(np.flatnonzero(~np.isfinite(values))[0])
-                raise FormatError(f"tensor {spec['name']!r} has a non-finite value", at + 4 * k)
-            params[spec["name"]] = values.astype(np.float64).reshape(shape)
-        if fh.tell() != size:
-            raise FormatError("trailing bytes after the last tensor", fh.tell())
+    r = binfile.Reader(Path(path).read_bytes())
+    (blob_len,) = r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint", "I")
+    header = _read_header(bytes(r.take(blob_len, "checkpoint metadata")))
+    cfg = header["config"]
+    params: dict[str, np.ndarray] = {}
+    for spec in header["params"]:
+        shape = tuple(spec["shape"])
+        values = r.floats(math.prod(shape), f"tensor {spec['name']!r}")
+        params[spec["name"]] = values.astype(np.float64).reshape(shape)
+    r.end("last tensor")
 
     if cfg.uses("ls"):
         if ls_table is None:

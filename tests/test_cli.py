@@ -1,8 +1,12 @@
 """End-to-end command-line tests; every command runs in process via main()."""
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexner.cli import (
     PipelineConfig,
@@ -10,13 +14,19 @@ from lexner.cli import (
     main,
     parse_config_text,
 )
-from lexner.corpus import TagScheme, load_column_file, validate_tags
-from lexner.embed import load_embeddings
+from lexner.corpus import TagScheme, load_column_file, validate_tags, write_column_file
+from lexner.embed import SUBWORD_MAGIC, EmbeddingTable, load_embeddings, save_embeddings
 from lexner.errors import UsageError
 from lexner.lexsim import load_ls_table
 from lexner.tagger.model import load_checkpoint
 
-from world import BAD_CHECKPOINT_HEADERS, edit_checkpoint_header
+from world import (
+    BAD_CHECKPOINT_HEADERS,
+    VOCAB,
+    edit_checkpoint_header,
+    tagged_sentences,
+    tiny_embeddings,
+)
 
 # ---------------------------------------------------------------------------
 # Config document parsing
@@ -52,8 +62,12 @@ class TestConfigParsing:
         cfg = PipelineConfig()
         apply_config_pair(cfg, "tagger.features", "word_emb, char")
         assert cfg.tagger.features == ("word_emb", "char")
-        with pytest.raises(UsageError, match="unknown feature"):
+        with pytest.raises(UsageError, match="unknown feature.*; known: word_emb, char"):
             apply_config_pair(cfg, "tagger.features", "word_emb,bogus")
+        for bad in ("char,char", ""):
+            with pytest.raises(UsageError):
+                apply_config_pair(cfg, "tagger.features", bad)
+        assert cfg.tagger.features == ("word_emb", "char")
 
     @pytest.mark.parametrize(
         "line",
@@ -407,6 +421,95 @@ class TestNonUtf8Inputs:
         assert not out.exists()
 
 
+TINY_FLAGS = ["--set", "tagger.word_hidden=4", "--set", "tagger.char_emb_dim=3",
+              "--set", "tagger.char_hidden=2", "--set", "tagger.cap_emb_dim=2",
+              "--set", "tagger.max_epochs=1", "--set", "tagger.batch_size=3"]
+
+
+@pytest.fixture(scope="module")
+def bins(tmp_path_factory):
+    """Tiny binary files (vectors with a subword section, LS table, checkpoint)
+    and the text files the commands read beside them."""
+    d = tmp_path_factory.mktemp("bins")
+    table, inventory = tiny_embeddings()
+    buckets = np.random.default_rng(3).normal(size=(31, table.dim))
+    save_embeddings(EmbeddingTable(table.words, table.vectors, buckets), d / "vectors.vec")
+    inventory.save(d / "inventory.txt")
+    (d / "vocab.txt").write_text("".join(w + "\n" for w in VOCAB))
+    write_column_file(d / "train.txt", tagged_sentences())
+    assert main(["build-ls", "--embeddings", str(d / "vectors.vec"), "--inventory",
+                 str(d / "inventory.txt"), "--vocab", str(d / "vocab.txt"),
+                 "--output", str(d / "table.lstb")]) == 0
+    assert main(["train-ner", "--train", str(d / "train.txt"), "--dev", str(d / "train.txt"),
+                 "--output", str(d / "model.ckpt"), "--embeddings", str(d / "vectors.vec"),
+                 "--ls-table", str(d / "table.lstb"), *TINY_FLAGS]) == 0
+    return d
+
+
+_TINY_FIT = ["--train", "{d}/train.txt", "--dev", "{d}/train.txt", *TINY_FLAGS]
+
+# every binary file argument: (argv, the file whose corrupted copy is {bad})
+BINARY_CASES = {
+    "tag --checkpoint": (["tag", "--checkpoint", "{bad}", "--ls-table", "{d}/table.lstb",
+                          "--input", "{d}/train.txt", "--output", "{out}"], "model.ckpt"),
+    "tag --ls-table": (["tag", "--checkpoint", "{d}/model.ckpt", "--ls-table", "{bad}",
+                        "--input", "{d}/train.txt", "--output", "{out}"], "table.lstb"),
+    "train-ner --ls-table": (["train-ner", *_TINY_FIT, "--output", "{out}",
+                              "--embeddings", "{d}/vectors.vec", "--ls-table", "{bad}"], "table.lstb"),
+    "train-ner --embeddings": (["train-ner", *_TINY_FIT, "--output", "{out}",
+                                "--embeddings", "{bad}", "--ls-table", "{d}/table.lstb"], "vectors.vec"),
+    "ablate --ls-table": (["ablate", *_TINY_FIT, "--test", "{d}/train.txt", "--runs", "1",
+                           "--feature-sets", "ls", "--ls-table", "{bad}"], "table.lstb"),
+    "ablate --embeddings": (["ablate", *_TINY_FIT, "--test", "{d}/train.txt", "--runs", "1",
+                             "--feature-sets", "word_emb", "--embeddings", "{bad}"], "vectors.vec"),
+    "build-ls --embeddings": (["build-ls", "--embeddings", "{bad}", "--inventory", "{d}/inventory.txt",
+                               "--vocab", "{d}/vocab.txt", "--output", "{out}"], "vectors.vec"),
+    "inspect --embeddings": (["inspect", "--embeddings", "{bad}", "--inventory", "{d}/inventory.txt",
+                              "--word", "rusty"], "vectors.vec"),
+}
+
+
+def _run_on_copy(d: Path, case: str, raw: bytes) -> tuple[int, str]:
+    """Run a BINARY_CASES command with raw as its bad file; (exit code, stderr)."""
+    argv, name = BINARY_CASES[case]
+    bad = d / ("bad-" + name)
+    bad.write_bytes(raw)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([a.format(d=d, bad=bad, out=d / "out") for a in argv])
+    return code, err.getvalue()
+
+
+class TestCorruptedBinaryInputs:
+    @pytest.mark.parametrize("case", sorted(BINARY_CASES))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_byte_flip_or_truncation_is_a_clean_error(self, bins, case, data):
+        raw = bytearray((bins / BINARY_CASES[case][1]).read_bytes())
+        # one branch aims at the binary header (a vector file's is after its text rows)
+        hot = max(0, raw.find(SUBWORD_MAGIC))
+        at = data.draw(st.integers(0, len(raw) - 1) | st.integers(hot, min(len(raw), hot + 32) - 1))
+        if data.draw(st.booleans()):
+            raw = raw[:at]
+        else:
+            raw[at] = data.draw(st.integers(0, 255))
+        code, err = _run_on_copy(bins, case, bytes(raw))
+        # a flip inside a stored float can leave a valid file
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code:
+            assert err.splitlines()[-1].startswith("lexner: ")
+
+    @pytest.mark.parametrize("case", [c for c in sorted(BINARY_CASES) if c.endswith("--embeddings")])
+    def test_huge_subword_bucket_count(self, bins, case):
+        raw = bytearray((bins / "vectors.vec").read_bytes())
+        at = raw.index(SUBWORD_MAGIC) + 7  # after magic, version and the n-gram range
+        raw[at : at + 4] = (2**32 - 1).to_bytes(4, "little")
+        code, err = _run_on_copy(bins, case, bytes(raw))
+        assert code == 2
+        assert err.startswith("lexner: truncated subword bucket data")
+
+
 class TestAblate:
     def test_combined_features_beat_each_alone(self, pipe, capsys):
         rc = main(["ablate", "--train", str(pipe / "train.txt"),
@@ -469,6 +572,13 @@ class TestExitCodes:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
+
+    def test_train_embed_on_one_word_vocabulary(self, tmp_path, capsys):
+        src = tmp_path / "one.txt"
+        src.write_text("a a\n")
+        assert main(["train-embed", "--input", str(src), "--output", str(tmp_path / "v.vec"),
+                     "--set", "embed.min_count=1", "--set", "embed.subsample_threshold=0"]) == 2
+        assert "negative sampling needs at least two" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path):
         assert main(["eval", "--gold", str(tmp_path / "nope.txt"),

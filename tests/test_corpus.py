@@ -69,6 +69,13 @@ class TestColumnFormat:
         assert [s.words for s in sents] == [["a"], ["b"]]
         assert [s.doc_index for s in sents] == [0, 1]
 
+    def test_only_newlines_end_lines(self):
+        # NEL, LS and FF are whitespace inside a line, not line ends
+        sents = parse_column_text("a\x85b O\n")
+        assert sents[0].words == ["a"] and sents[0].tags == ["O"]
+        assert [s.words for s in parse_column_text("a O\r\nb\u2028c\x0cd O\re O\n")] == [
+            ["a", "b", "e"]]
+
     def test_blank_line_runs_collapse(self):
         sents = parse_column_text("a O\n\n\n\nb O\n")
         assert len(sents) == 2
@@ -99,6 +106,12 @@ def _outcome(load, path):
         return type(e), str(e)
 
 
+# column text with every line break str.splitlines knows
+COLUMN_TEXT = st.lists(st.sampled_from(["a", "É", "東", "O", "B-X", "U-X", " ", "\t", "\n", "\r",
+                                        "\x85", "\u2028", "\x0c", "\x1e", "-DOCSTART-"]),
+                       max_size=40).map("".join)
+
+
 class TestReadText:
     def test_newlines_translated_like_path_read_text(self, tmp_path):
         p = tmp_path / "t.txt"
@@ -126,14 +139,19 @@ class TestReadText:
             TypeInventory.load(p)
         assert err.value.offset == 11
 
-    @given(st.lists(st.sampled_from(["a", "É", "東", "O", "B-X", "U-X", " ", "\t", "\n", "\r",
-                                     "\x85", "\u2028", "\x0c", "\x1e", "-DOCSTART-"]),
-                    max_size=40).map("".join))
+    @given(COLUMN_TEXT)
     @settings(max_examples=300, deadline=None)
     def test_column_file_parses_as_file_iteration_did(self, tmp_path_factory, text):
         p = tmp_path_factory.mktemp("col") / "c.txt"
         p.write_bytes(text.encode("utf-8"))
         assert _outcome(load_column_file, p) == _outcome(_load_by_file_iteration, p)
+
+    @given(COLUMN_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_text_parses_as_its_file_does(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("col") / "c.txt"
+        p.write_bytes(text.encode("utf-8"))
+        assert _outcome(lambda _: parse_column_text(text), p) == _outcome(load_column_file, p)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)

@@ -19,7 +19,7 @@ from lexner.embed import (
     save_embeddings,
     train_skipgram,
 )
-from lexner.errors import DataError, FormatError
+from lexner.errors import DataError, FormatError, LexnerError
 
 
 class TestCharNgrams:
@@ -482,6 +482,11 @@ class TestTraining:
         with pytest.raises(DataError):
             train_skipgram(["one two", "three four"], small_config(min_count=50))
 
+    def test_one_word_vocabulary_rejected(self):
+        # every noise draw would equal the only context word, for ever
+        with pytest.raises(DataError, match="at least two"):
+            train_skipgram(["a a"], EmbedConfig(min_count=1, subsample_threshold=0))
+
 
 class TestWordVector:
     def setup_method(self):
@@ -584,6 +589,17 @@ class TestPersistence:
             load_embeddings(p)
         assert err.value.offset == offset
 
+    @pytest.mark.parametrize("text, offset", [
+        (b"2 3\nthe 0.1 0.2 0.3\nc\xffat -1 0.5 2\n", 20),   # headered
+        (b"the 0.1 0.2 0.3\nc\xffat -1 0.5 2\n", 16),         # headerless
+    ])
+    def test_non_utf8_word_rejected_at_its_row(self, tmp_path, text, offset):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(text)
+        with pytest.raises(FormatError, match="row 1 word is not valid UTF-8") as err:
+            load_embeddings(p)
+        assert err.value.offset == offset
+
     def test_truncated_subword_section_rejected(self, tmp_path):
         table = train_skipgram(tiny_corpus(), small_config())
         p = tmp_path / "vec.bin"
@@ -593,3 +609,76 @@ class TestPersistence:
         with pytest.raises(FormatError) as err:
             load_embeddings(tmp_path / "cut.bin")
         assert err.value.offset is not None
+
+
+def subword_file(path, buckets=31, dim=4):
+    """A small vector file with a subword section; returns its bytes and the
+    section's offset. Section layout: magic (4 bytes), version (1), n-gram
+    min (1) and max (1), bucket count (4), dim (4), seed (8), then floats."""
+    rng = np.random.default_rng(5)
+    words = ["/t1", "aaa", "bbb"]
+    table = EmbeddingTable(words, rng.normal(size=(3, dim)), rng.normal(size=(buckets, dim)), seed=9)
+    save_embeddings(table, path)
+    data = path.read_bytes()
+    return bytearray(data), data.index(embed.SUBWORD_MAGIC)
+
+
+class TestSubwordSection:
+    def test_huge_bucket_count_is_truncation_not_an_allocation(self, tmp_path):
+        p = tmp_path / "vec.bin"
+        raw, at = subword_file(p)
+        raw[at + 7 : at + 11] = (2**32 - 1).to_bytes(4, "little")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="truncated subword bucket data") as err:
+            load_embeddings(p)
+        assert err.value.offset == len(raw)
+
+    @pytest.mark.parametrize("field, value", [
+        (5, 0),       # n-gram min 0
+        (6, 2),       # n-gram max below the min of 3
+        (7, 0),       # no buckets (the count's low byte; 31 fits in it)
+        (11, 5),      # dim 5 for vectors of dim 4
+    ])
+    def test_bad_header_field_rejected_at_the_section(self, tmp_path, field, value):
+        p = tmp_path / "vec.bin"
+        raw, at = subword_file(p)
+        raw[at + field] = value
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="bad subword header") as err:
+            load_embeddings(p)
+        assert err.value.offset == at
+
+    def test_non_finite_bucket_value_rejected_at_its_offset(self, tmp_path):
+        p = tmp_path / "vec.bin"
+        raw, at = subword_file(p)
+        value = at + 23 + 4 * 17
+        raw[value : value + 4] = np.float32(np.inf).tobytes()
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="subword bucket data has a non-finite value") as err:
+            load_embeddings(p)
+        assert err.value.offset == value
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "vec.bin"
+        raw, _ = subword_file(p)
+        p.write_bytes(bytes(raw) + b"\0")
+        with pytest.raises(FormatError, match="trailing bytes") as err:
+            load_embeddings(p)
+        assert err.value.offset == len(raw)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_byte_flip_or_truncation_only_raises_lexner_errors(self, tmp_path_factory, data):
+        p = tmp_path_factory.mktemp("fuzz") / "vec.bin"
+        raw, section = subword_file(p)
+        # one branch aims at the section header
+        at = data.draw(st.integers(0, len(raw) - 1) | st.integers(section, section + 22))
+        if data.draw(st.booleans()):
+            raw = raw[:at]
+        else:
+            raw[at] = data.draw(st.integers(0, 255))
+        p.write_bytes(bytes(raw))
+        try:
+            load_embeddings(p).word_vectors(["aaa", "aaab", "/t1", "zz"])
+        except LexnerError:
+            pass

@@ -355,6 +355,16 @@ class TestPersistence:
             load_ls_table(p)
         assert err.value.offset == south + 2
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        table, inv = toy_table()
+        p = tmp_path / "table.ls"
+        save_ls_table(build_ls_table(["north"], table, inv), p)
+        end = p.stat().st_size
+        p.write_bytes(p.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="trailing bytes") as err:
+            load_ls_table(p)
+        assert err.value.offset == end
+
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_byte_flip_or_truncation_only_raises_lexner_errors(self, tmp_path_factory, data):
