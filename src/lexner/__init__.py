@@ -32,7 +32,6 @@ from .evaluation import EvalReport, evaluate, evaluate_by_group
 from .lexsim import (
     LSTable,
     build_ls_table,
-    cosine,
     load_ls_table,
     ls_raw,
     minmax_scale,
@@ -60,7 +59,6 @@ __all__ = [
     "build_ls_table",
     "capitalization_class",
     "convert_scheme",
-    "cosine",
     "evaluate",
     "evaluate_by_group",
     "load_embeddings",

@@ -30,6 +30,7 @@ from .corpus import (
     iter_column_sentences,
     load_column_file,
     mentions_to_tags,
+    read_lines,
     read_text,
     tags_to_mentions,
     write_column_file,
@@ -70,7 +71,6 @@ class PipelineConfig:
 
     embed: EmbedConfig = field(default_factory=EmbedConfig)
     tagger: TaggerConfig = field(default_factory=TaggerConfig)
-    seed: int | None = None
     paths: dict[str, str] = field(default_factory=dict)
 
 
@@ -110,7 +110,6 @@ def apply_config_pair(cfg: PipelineConfig, key: str, raw: str) -> None:
     key = key.strip()
     if key == "seed":
         value = _coerce(key, raw, 0)
-        cfg.seed = value
         cfg.embed = replace(cfg.embed, seed=value)
         cfg.tagger = replace(cfg.tagger, seed=value)
         return
@@ -137,7 +136,7 @@ def apply_config_pair(cfg: PipelineConfig, key: str, raw: str) -> None:
 
 
 def parse_config_text(text: str, cfg: PipelineConfig) -> None:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -218,12 +217,7 @@ def _load_gazetteer(pairs: list[str] | None) -> Gazetteer | None:
         name, eq, path = pair.partition("=")
         if not eq or not name:
             raise UsageError(f"--gazetteer expects NAME=PATH, got {pair!r}")
-        entries = [
-            ln.strip()
-            for ln in read_text(path).splitlines()
-            if ln.strip()
-        ]
-        lists[name] = entries
+        lists[name] = [ln.strip() for ln in read_lines(path) if ln.strip()]
     return Gazetteer(lists)
 
 
@@ -270,7 +264,7 @@ def cmd_prepare_dual(args) -> int:
 def cmd_train_embed(args) -> int:
     cfg = load_pipeline_config(args)
     _check_output_dir(args.output)
-    lines = read_text(args.input).splitlines()
+    lines = read_lines(args.input)
     progress_to_stderr(
         f"train-embed: {len(lines)} lines, dim {cfg.embed.dim}, "
         f"{cfg.embed.epochs} epochs, seed {cfg.embed.seed}"

@@ -159,8 +159,7 @@ class TypeInventory:
 
     @classmethod
     def load(cls, path: str | Path) -> "TypeInventory":
-        lines = read_text(path).splitlines()
-        return cls([ln.strip() for ln in lines if ln.strip()])
+        return cls([ln.strip() for ln in read_lines(path) if ln.strip()])
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text("".join(f"{l}\n" for l in self.labels), encoding="utf-8")
@@ -187,6 +186,13 @@ def read_text(path: str | Path) -> str:
         line = _universal_newlines(data[: e.start].decode("utf-8")).count("\n") + 1
         raise FormatError(f"{path}: line {line} is not UTF-8 text", e.start) from None
     return _universal_newlines(text)
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a `read_text` file. As in column files, lines end at
+    newlines only, and a final newline adds no empty line."""
+    text = read_text(path)
+    return text.removesuffix("\n").split("\n") if text else []
 
 
 def iter_column_sentences(
@@ -444,10 +450,6 @@ def convert_scheme(
 ) -> list[str]:
     """Re-encode a tag sequence from one scheme to another, mention set intact."""
     return mentions_to_tags(tags_to_mentions(tags, src, strict), len(tags), dst)
-
-
-def validate_tags(tags: Sequence[str], scheme: TagScheme) -> None:
-    tags_to_mentions(tags, scheme, strict=True)
 
 
 # ---------------------------------------------------------------------------

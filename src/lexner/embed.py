@@ -230,17 +230,6 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.words)
 
-    def is_atomic(self, word: str) -> bool:
-        return is_type_token(word)
-
-    def bucket_ids(self, word: str) -> np.ndarray:
-        """Hashed bucket ids for a word's n-grams (with multiplicity)."""
-        if self.bucket_vectors is None:
-            return np.empty(0, dtype=np.int64)
-        return ngram_bucket_ids(
-            [word], self.bucket_vectors.shape[0], self.ngram_min, self.ngram_max
-        )[0]
-
     def word_vector(self, word: str) -> np.ndarray:
         return self.word_vectors([word])[0]
 
@@ -507,19 +496,19 @@ def train_skipgram(lines: Iterable[str], config: EmbedConfig | None = None) -> E
 # Persistence: text vectors, optional binary subword section appended
 # ---------------------------------------------------------------------------
 
-def save_embeddings(table: EmbeddingTable, path: str | Path, subword: bool = True) -> None:
+def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     """Write "count dim" then one "word v1 .. v_dim" row per word.
 
     %.9g keeps float32 exact across a round trip. When the table carries
-    n-gram buckets and subword=True, a binary section follows the text rows
-    so composed out-of-vocabulary vectors survive reloading.
+    n-gram buckets, a binary section follows the text rows so composed
+    out-of-vocabulary vectors survive reloading.
     """
     with open(path, "wb") as fh:
         fh.write(f"{len(table.words)} {table.dim}\n".encode("utf-8"))
         for i, w in enumerate(table.words):
             row = " ".join(f"{x:.9g}" for x in table.vectors[i])
             fh.write(f"{w} {row}\n".encode("utf-8"))
-        if subword and table.bucket_vectors is not None:
+        if table.bucket_vectors is not None:
             fh.write(binfile.header(
                 SUBWORD_MAGIC, SUBWORD_VERSION, _SUBWORD_FIELDS, table.ngram_min, table.ngram_max,
                 table.bucket_vectors.shape[0], table.dim, table.seed,
@@ -567,9 +556,13 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         words: list[str] = []
         rows: list[list[float]] = []
         offsets: list[int] = []
-        if len(head_fields) == 2 and head_fields[0].isdigit() and head_fields[1].isdigit():
-            count, dim = int(head_fields[0]), int(head_fields[1])
-            for i in range(count):
+        headered = len(head_fields) == 2 and head_fields[0].isdigit() and head_fields[1].isdigit()
+        # a headerless file's first row gives the dimension
+        dim = int(head_fields[1]) if headered else len(head_fields) - 1
+        if dim < 1:
+            raise FormatError(f"embedding dimension must be at least 1, got {dim}", 0)
+        if headered:
+            for i in range(int(head_fields[0])):
                 offset = fh.tell()
                 line = fh.readline()
                 if not line:
@@ -579,10 +572,6 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                 rows.append(vec)
                 offsets.append(offset)
         else:
-            # headerless third-party format: infer dim from the first row
-            dim = len(head_fields) - 1
-            if dim < 1:
-                raise FormatError("cannot infer embedding dimension from first row", 0)
             offset = 0
             line = first
             i = 0

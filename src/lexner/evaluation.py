@@ -43,35 +43,11 @@ class TypeScore:
 
 
 @dataclass
-class EvalReport:
-    tp: int
-    fp: int
-    fn: int
-    tokens: int
-    correct_tokens: int
+class EvalReport(TypeScore):
+    tokens: int = 0
+    correct_tokens: int = 0
     per_type: dict[str, TypeScore] = field(default_factory=dict)
     per_group: dict[str, "EvalReport"] | None = None
-
-    @property
-    def found(self) -> int:
-        return self.tp + self.fp
-
-    @property
-    def gold(self) -> int:
-        return self.tp + self.fn
-
-    @property
-    def precision(self) -> float:
-        return 100.0 * self.tp / self.found if self.found else 0.0
-
-    @property
-    def recall(self) -> float:
-        return 100.0 * self.tp / self.gold if self.gold else 0.0
-
-    @property
-    def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2.0 * p * r / (p + r) if p + r > 0 else 0.0
 
     @property
     def accuracy(self) -> float:
@@ -151,7 +127,7 @@ def evaluate(
     """
     if len(gold) != len(pred):
         raise DataError(f"{len(gold)} gold sentences vs {len(pred)} predicted")
-    report = EvalReport(0, 0, 0, 0, 0)
+    report = EvalReport()
     for i, gs in enumerate(gold):
         ptags = _pred_tags(pred[i], i, len(gs))
         gm = set(_gold_mentions(gs, i, scheme))

@@ -29,19 +29,6 @@ LS_MAGIC = b"LSTB"
 LS_VERSION = 1
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; 0.0 when either vector is all-zero."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DataError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
 def _type_matrix(table: EmbeddingTable, inventory: TypeInventory) -> tuple[np.ndarray, np.ndarray]:
     """Stacked type embeddings and their norms; all labels must be known."""
     for label in inventory:
@@ -216,14 +203,10 @@ def save_ls_table(table: LSTable, path: str | Path) -> None:
         fh.write(b"".join(binfile.string(w) + binfile.floats(v) for w, v in table.entries.items()))
 
 
-def load_ls_table(
-    path: str | Path, expected_inventory: TypeInventory | None = None
-) -> LSTable:
+def load_ls_table(path: str | Path) -> LSTable:
     r = binfile.Reader(Path(path).read_bytes())
     (dim,) = r.header(LS_MAGIC, LS_VERSION, "LS table", "I")
     inventory = TypeInventory([r.string(f"label {i}") for i in range(dim)])
-    if expected_inventory is not None and inventory != expected_inventory:
-        raise DataError("LS table inventory does not match the expected inventory")
     (count,) = r.unpack("Q", "record count")
     words: list[str] = []
     starts: list[int] = []

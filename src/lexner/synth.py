@@ -133,11 +133,6 @@ def distant_sentences(
     return out
 
 
-def _spread(counts: dict[str, int]) -> tuple[int, int]:
-    vals = list(counts.values())
-    return (min(vals), max(vals)) if vals else (0, 0)
-
-
 def planted_counts(world: SynthWorld, sentences: list[Sentence]) -> dict[str, int]:
     """How often each planted entity surface occurs (for corpus sanity checks)."""
     counts = {w: 0 for w in world.all_planted()}

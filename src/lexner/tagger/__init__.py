@@ -7,6 +7,6 @@ from .crf import (  # noqa: F401
     viterbi_decode,
 )
 from .gazetteer import Gazetteer, gazetteer_features  # noqa: F401
-from .lstm import init_lstm_params, lstm_backward, lstm_forward, reverse_padded  # noqa: F401
+from .lstm import init_lstm_params, lstm_backward, lstm_forward  # noqa: F401
 from .model import TaggerConfig, TaggerModel, load_checkpoint, save_checkpoint  # noqa: F401
 from .train import sgd_step, train  # noqa: F401

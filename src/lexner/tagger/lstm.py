@@ -180,20 +180,12 @@ def lstm_backward(
     return dx, grads
 
 
-def reverse_padded(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Reverse each sequence in a time-major batch within its true length.
-
-    Padding stays in place, so applying this twice is the identity. Works
-    for (T, B) and (T, B, D) arrays alike.
-    """
-    return x[padded_reversal(lengths, x.shape[0])]
-
-
 def padded_reversal(lengths: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (time, batch) index pair that `reverse_padded` applies.
+    """The (time, batch) index pair that reverses each sequence of a
+    time-major batch within its true length: x[index] for (T, B) and
+    (T, B, D) arrays alike.
 
-    Build it once per batch and index every array of that batch with it,
-    x[index], when several arrays share the same lengths.
+    Padding stays in place, so applying it twice is the identity.
     """
     B = len(lengths)
     t_idx = np.arange(T)[:, None].repeat(B, axis=1)

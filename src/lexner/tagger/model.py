@@ -233,30 +233,33 @@ class TaggerModel:
 
         rng = np.random.default_rng(config.seed)
         params: dict[str, np.ndarray] = {}
-        input_dim = 0
+        widths: dict[str, int] = {}
         if config.uses("word_emb"):
-            d_w = pretrained.dim
-            word_emb = np.zeros((len(words) + 1, d_w))
+            word_emb = np.zeros((len(words) + 1, pretrained.dim))
             word_emb[1:] = np.asarray(pretrained.vectors, dtype=np.float64)
             params["word_emb"] = word_emb
-            input_dim += d_w
+            widths["word_emb"] = pretrained.dim
         if config.uses("char"):
             params["char_emb"] = glorot(rng, (len(chars) + 1, config.char_emb_dim))
             for name in ("char_fwd", "char_bwd"):
                 for k, v in init_lstm_params(rng, config.char_emb_dim, config.char_hidden).items():
                     params[f"{name}.{k}"] = v
-            input_dim += 2 * config.char_hidden
+            widths["char"] = 2 * config.char_hidden
         if config.uses("cap"):
             params["cap_emb"] = glorot(rng, (N_CAP_CLASSES, config.cap_emb_dim))
-            input_dim += config.cap_emb_dim
+            widths["cap"] = config.cap_emb_dim
         if config.uses("ls"):
             if ls_table is None:
                 raise DataError("ls block enabled but no LS table given")
-            input_dim += ls_table.dim
+            widths["ls"] = ls_table.dim
         if config.uses("gazetteer"):
             if gazetteer is None:
                 raise DataError("gazetteer block enabled but no gazetteer given")
-            input_dim += len(gazetteer)
+            widths["gazetteer"] = len(gazetteer)
+        empty = [name for name, d in widths.items() if d < 1]
+        if empty:
+            raise DataError(f"feature block {empty[0]} has input width 0")
+        input_dim = sum(widths.values())
 
         for name in ("word_fwd", "word_bwd"):
             for k, v in init_lstm_params(rng, input_dim, config.word_hidden).items():
@@ -392,12 +395,6 @@ class TaggerModel:
             for b, s in enumerate(batch):
                 x[: len(s), b, gaz] = gazetteer_features(s, self.gazetteer)
         return x, lengths, mask, ctx
-
-    def assemble_input(self, token_surface: str) -> np.ndarray:
-        """Feature vector of a single token (the first assembly row)."""
-        s = Sentence.from_words([token_surface])
-        x, _, _, _ = self._assemble([s])
-        return x[0, 0]
 
     # -- forward/backward ---------------------------------------------------
 
@@ -577,7 +574,7 @@ def _read_header(blob: bytes) -> dict:
     specs = header["params"]
     if not isinstance(specs, list) or not all(
         isinstance(s, dict) and isinstance(s.get("name"), str) and isinstance(s.get("shape"), list)
-        and all(type(d) is int and d >= 0 for d in s["shape"]) for s in specs
+        and all(type(d) is int and d >= 1 for d in s["shape"]) for s in specs
     ):
         raise bad("params is not a list of {name, shape} entries")
     if [s["name"] for s in specs] != param_names(header["config"]):

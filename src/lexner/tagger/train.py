@@ -23,46 +23,33 @@ def global_norm(grads: Mapping[str, np.ndarray]) -> float:
     return float(np.sqrt(total))
 
 
-def _aligned(params: Mapping, grads: Mapping, velocities: Mapping) -> list[tuple]:
-    """(param, grad, velocity) arrays that update together: the three flat
-    buffers when all are `ParamStore`s of one layout, else tensor by tensor."""
-    stores = (params, grads, velocities)
-    if all(isinstance(m, ParamStore) for m in stores) and all(
-            list(m.shapes.items()) == list(params.shapes.items()) for m in stores[1:]):
-        return [(params.flat, grads.flat, velocities.flat)]
-    return [(params[k], grads[k], velocities[k]) for k in params]
-
-
 def sgd_step(
-    params: Mapping[str, np.ndarray],
-    grads: Mapping[str, np.ndarray],
-    velocities: Mapping[str, np.ndarray],
+    params: ParamStore,
+    grads: ParamStore,
+    velocities: ParamStore,
     config: TaggerConfig,
     epoch: int,
 ) -> None:
-    """One in-place update: clip, momentum, decayed learning rate.
+    """One in-place update of three stores of one layout: clip, momentum,
+    decayed learning rate, each a single operation on the `flat` buffers.
 
-    Three `ParamStore`s of one layout update as whole buffers, one
-    operation per step; any other mappings with the same keys update
-    tensor by tensor. The arithmetic is elementwise, and the global norm is
-    summed tensor by tensor in `grads` order, so both give the same bits.
+    The global norm is summed tensor by tensor in `grads` order.
     """
-    aligned = _aligned(params, grads, velocities)
-    if not all(np.isfinite(g).all() for _, g, _ in aligned):
+    if not np.isfinite(grads.flat).all():
         bad = next(k for k, g in grads.items() if not np.isfinite(g).all())
         raise NumericalError(f"non-finite gradient in parameter {bad!r}")
+    g = grads.flat
     if config.clip_mode == "global":
         norm = global_norm(grads)
-        scale = config.clip_norm / norm if norm > config.clip_norm else 1.0
+        if norm > config.clip_norm:
+            g = g * (config.clip_norm / norm)
+    else:
+        g = np.clip(g, -config.clip_norm, config.clip_norm)
     lr = config.learning_rate * config.decay_rate ** epoch
-    for p, g, v in aligned:
-        if config.clip_mode == "global":
-            clipped = g * scale if scale != 1.0 else g
-        else:
-            clipped = np.clip(g, -config.clip_norm, config.clip_norm)
-        v *= config.momentum
-        v += clipped
-        p -= lr * v
+    v = velocities.flat
+    v *= config.momentum
+    v += g
+    params.flat -= lr * v
 
 
 def train(

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from lexner.cli import (
     PipelineConfig,
+    _load_gazetteer,
     apply_config_pair,
     main,
     parse_config_text,
 )
-from lexner.corpus import TagScheme, load_column_file, validate_tags, write_column_file
-from lexner.embed import SUBWORD_MAGIC, EmbeddingTable, load_embeddings, save_embeddings
-from lexner.errors import UsageError
+from lexner.corpus import TagScheme, TypeInventory, load_column_file, tags_to_mentions, write_column_file
+from lexner.embed import SUBWORD_MAGIC, EmbedConfig, EmbeddingTable, load_embeddings, save_embeddings
+from lexner.errors import DataError, UsageError
 from lexner.lexsim import load_ls_table
 from lexner.tagger.model import load_checkpoint
 
@@ -249,7 +250,7 @@ class TestPipeline:
         assert len(pred) == len(gold)
         for g, p in zip(gold, pred):
             assert [t.surface for t in p.tokens] == [t.surface for t in g.tokens]
-            validate_tags(p.tags, TagScheme.BILOU)
+            tags_to_mentions(p.tags, TagScheme.BILOU, strict=True)
 
     def test_predictions_match_library_tagging(self, pipe):
         ls = load_ls_table(pipe / "table.lstb")
@@ -580,6 +581,15 @@ class TestExitCodes:
                      "--set", "embed.min_count=1", "--set", "embed.subsample_threshold=0"]) == 2
         assert "negative sampling needs at least two" in capsys.readouterr().err
 
+    def test_zero_dimension_vector_file(self, tmp_path, capsys):
+        vec = tmp_path / "zero.vec"
+        vec.write_text("2 0\n/t\nfox\n")
+        inv = tmp_path / "inv.txt"
+        inv.write_text("/t\n")
+        assert main(["inspect", "--embeddings", str(vec), "--inventory", str(inv),
+                     "--word", "fox"]) == 2
+        assert "lexner: " in capsys.readouterr().err
+
     def test_missing_input_file(self, tmp_path):
         assert main(["eval", "--gold", str(tmp_path / "nope.txt"),
                      "--pred", str(tmp_path / "nope.txt")]) == 2
@@ -602,6 +612,30 @@ class TestExitCodes:
     def test_output_into_missing_directory(self, pipe):
         assert main(["train-embed", "--input", str(pipe / "dual.txt"),
                      "--output", str(pipe / "no" / "dir" / "out.vec")]) == 2
+
+
+class TestLineEndings:
+    """Text inputs end lines at newlines only, as column files do."""
+
+    def test_train_embed_keeps_nel_inside_a_line(self, tmp_path, capsys):
+        src = tmp_path / "nel.txt"
+        src.write_text("aa\x85bb cc\n" * 3, encoding="utf-8")
+        assert main(["train-embed", "--input", str(src), "--output", str(tmp_path / "v.vec"),
+                     "--set", "embed.min_count=1", "--set", "embed.dim=4",
+                     "--set", "embed.epochs=1", "--set", "embed.bucket_count=50"]) == 0
+        assert "train-embed: 3 lines" in capsys.readouterr().err
+
+    def test_config_gazetteer_and_inventory_readers(self, tmp_path):
+        cfg = PipelineConfig()
+        parse_config_text("# note\x85embed.window = 3\n", cfg)
+        assert cfg.embed.window == EmbedConfig().window  # the whole line is a comment
+        gaz = tmp_path / "gaz.txt"
+        gaz.write_text("new\u2028york\n", encoding="utf-8")
+        assert _load_gazetteer([f"places={gaz}"]).entries["places"] == {("new", "york")}
+        inv = tmp_path / "inv.txt"
+        inv.write_text("/a\x85/b\n", encoding="utf-8")
+        with pytest.raises(DataError, match="malformed type label"):
+            TypeInventory.load(inv)
 
 
 class TestConfigPrecedence:

@@ -499,7 +499,7 @@ class TestWordVector:
 
     def test_in_vocab_composes_word_plus_ngram_mean(self):
         i = self.table.word_index["aaa"]
-        ids = self.table.bucket_ids("aaa")
+        ids = ngram_bucket_ids(["aaa"], self.table.bucket_vectors.shape[0])[0]
         expect = self.table.vectors[i] + self.table.bucket_vectors[ids].mean(axis=0)
         np.testing.assert_allclose(self.table.word_vector("aaa"), expect, rtol=1e-6)
 
@@ -546,7 +546,7 @@ class TestPersistence:
     def test_round_trip_text_only(self, tmp_path):
         table = train_skipgram(tiny_corpus(), small_config())
         p = tmp_path / "vec.txt"
-        save_embeddings(table, p, subword=False)
+        save_embeddings(EmbeddingTable(table.words, table.vectors), p)
         back = load_embeddings(p)
         assert back.bucket_vectors is None
         np.testing.assert_array_equal(back.vectors, table.vectors)
@@ -570,6 +570,14 @@ class TestPersistence:
         p.write_text("the 0.1 0.2 0.3\ncat -1 0.5\n", encoding="utf-8")
         with pytest.raises(FormatError):
             load_embeddings(p)
+
+    @pytest.mark.parametrize("text", ["2 0\nthe\ncat\n", "the\ncat\n"])  # headered, headerless
+    def test_zero_dimension_rejected_at_offset_zero(self, tmp_path, text):
+        p = tmp_path / "bad.txt"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match="dimension must be at least 1, got 0") as err:
+            load_embeddings(p)
+        assert err.value.offset == 0
 
     def test_truncated_rows_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"

@@ -15,7 +15,6 @@ from lexner.errors import DataError, FormatError, LexnerError
 from lexner.lexsim import (
     LSTable,
     build_ls_table,
-    cosine,
     load_ls_table,
     ls_raw,
     minmax_scale,
@@ -23,29 +22,6 @@ from lexner.lexsim import (
     save_ls_table_text,
     top_k_types,
 )
-
-
-class TestCosine:
-    def test_identical_direction(self):
-        assert cosine([1, 0], [1, 0]) == pytest.approx(1.0)
-        assert cosine([2, 0], [5, 0]) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine([1, 0], [0, 1]) == pytest.approx(0.0)
-
-    def test_zero_vector_convention(self):
-        assert cosine([0, 0], [1, 1]) == 0.0
-        assert cosine([1, 1], [0, 0]) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DataError):
-            cosine([1, 0], [1, 0, 0])
-
-    def test_bounded(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            u, v = rng.normal(size=6), rng.normal(size=6)
-            assert -1.0 - 1e-12 <= cosine(u, v) <= 1.0 + 1e-12
 
 
 class TestMinMax:
@@ -292,16 +268,6 @@ class TestPersistence:
         for w in ls.entries:
             np.testing.assert_array_equal(back.entries[w], ls.entries[w])
         assert back.content_hash() == ls.content_hash()
-
-    def test_expected_inventory_checked(self, tmp_path):
-        table, inv = toy_table()
-        ls = build_ls_table(["north"], table, inv)
-        p = tmp_path / "table.ls"
-        save_ls_table(ls, p)
-        other = TypeInventory(["/t1", "/t2"])
-        with pytest.raises(DataError):
-            load_ls_table(p, expected_inventory=other)
-        assert load_ls_table(p, expected_inventory=inv) is not None
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.ls"

@@ -1,7 +1,7 @@
 """The synthetic corpus generators feeding the end-to-end checks."""
 import pytest
 
-from lexner.corpus import Mention, Sentence, TagScheme, mentions_to_tags, validate_tags
+from lexner.corpus import Mention, Sentence, TagScheme, mentions_to_tags, tags_to_mentions
 from lexner.errors import DataError
 from lexner.synth import (
     FILLERS,
@@ -88,7 +88,7 @@ class TestNerDataset:
         assert (len(splits.train), len(splits.dev), len(splits.test)) == (800, 300, 500)
         for part in (splits.train, splits.dev, splits.test):
             for s in part:
-                validate_tags(s.tags, TagScheme.BILOU)
+                tags_to_mentions(s.tags, TagScheme.BILOU, strict=True)
                 assert s.tags == mentions_to_tags(s.mentions, len(s))
 
     def test_test_variants_never_seen_in_training(self, splits):

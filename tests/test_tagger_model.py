@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexner.corpus import Sentence, TagScheme, TypeInventory, validate_tags
+from lexner.corpus import Sentence, TagScheme, TypeInventory, tags_to_mentions
 from lexner.embed import EmbeddingTable
 from lexner.errors import DataError, FormatError, LexnerError, NumericalError
 from lexner.evaluation import evaluate
@@ -87,7 +87,7 @@ class TestAssembly:
     def test_assemble_single_token_blocks(self):
         model, _, ls = build_tiny_model()
         cfg = model.config
-        vec = model.assemble_input("fox")
+        vec = model._assemble([Sentence.from_words(["fox"])])[0][0, 0]
         d_w = 6
         word_part = vec[:d_w]
         np.testing.assert_allclose(
@@ -95,7 +95,7 @@ class TestAssembly:
         ls_part = vec[-ls.dim:]
         np.testing.assert_allclose(ls_part, ls.vector("fox"), rtol=1e-6, atol=1e-7)
         # unknown word hits the UNK row (zeros at init)
-        unk = model.assemble_input("zzzz")
+        unk = model._assemble([Sentence.from_words(["zzzz"])])[0][0, 0]
         np.testing.assert_array_equal(unk[:d_w], model.params["word_emb"][0])
 
     def test_cap_block_distinguishes_case(self):
@@ -103,8 +103,8 @@ class TestAssembly:
         cfg = model.config
         lo = 6 + 2 * cfg.char_hidden
         hi = lo + cfg.cap_emb_dim
-        a = model.assemble_input("fox")[lo:hi]
-        b = model.assemble_input("Fox")[lo:hi]
+        x = model._assemble([Sentence.from_words(["fox", "Fox"])])[0]
+        a, b = x[0, 0, lo:hi], x[1, 0, lo:hi]
         np.testing.assert_allclose(a, model.params["cap_emb"][1])  # all lower
         np.testing.assert_allclose(b, model.params["cap_emb"][2])  # upper first
 
@@ -132,6 +132,14 @@ class TestAssembly:
             tiny_config(features=())
         with pytest.raises(DataError):
             tiny_config(features=("word_emb", "word_emb"))
+
+    @pytest.mark.parametrize("features, inputs", [
+        (("gazetteer",), dict(gazetteer=Gazetteer({}))),
+        (("word_emb", "cap"), dict(pretrained=EmbeddingTable(["a"], np.zeros((1, 0))))),
+    ])
+    def test_zero_width_block_rejected(self, features, inputs):
+        with pytest.raises(DataError, match=f"block {features[0]} has input width 0"):
+            TaggerModel.build(tiny_config(features=features), ["O"], ["a"], **inputs)
 
 
 # Surfaces repeat within and across sentences, in three casings, and
@@ -255,59 +263,61 @@ def plain_config(**kw):
     return tiny_config(**base)
 
 
+def one_tensor(values):
+    """A store holding one tensor, "w", with a copy of values."""
+    return ParamStore.from_arrays({"w": np.array(values, dtype=np.float64)})
+
+
 class TestSgd:
     def test_global_clip_halves_norm_ten(self):
         cfg = plain_config()
         g = np.zeros(4)
         g[0] = 6.0
         g[1] = 8.0  # norm 10 -> scale 0.5
-        params = {"w": np.zeros(4)}
-        vel = {"w": np.zeros(4)}
-        sgd_step(params, {"w": g.copy()}, vel, cfg, epoch=0)
+        params = one_tensor(np.zeros(4))
+        sgd_step(params, one_tensor(g), one_tensor(np.zeros(4)), cfg, epoch=0)
         np.testing.assert_allclose(params["w"], -0.5 * g)
 
     def test_no_clip_below_threshold(self):
         cfg = plain_config()
         g = np.array([0.3, -0.4])  # norm 0.5
-        params = {"w": np.zeros(2)}
-        sgd_step(params, {"w": g.copy()}, {"w": np.zeros(2)}, cfg, epoch=0)
+        params = one_tensor(np.zeros(2))
+        sgd_step(params, one_tensor(g), one_tensor(np.zeros(2)), cfg, epoch=0)
         np.testing.assert_allclose(params["w"], -g)
 
     def test_value_clip(self):
         cfg = plain_config(clip_mode="value")
         g = np.array([-10.0, 0.5, 7.0])
-        params = {"w": np.zeros(3)}
-        sgd_step(params, {"w": g.copy()}, {"w": np.zeros(3)}, cfg, epoch=0)
+        params = one_tensor(np.zeros(3))
+        sgd_step(params, one_tensor(g), one_tensor(np.zeros(3)), cfg, epoch=0)
         np.testing.assert_allclose(params["w"], -np.array([-5.0, 0.5, 5.0]))
 
     def test_momentum_accumulates(self):
         cfg = plain_config(momentum=0.9)
         g = np.array([0.1, -0.2])
-        params = {"w": np.zeros(2)}
-        vel = {"w": np.zeros(2)}
-        sgd_step(params, {"w": g.copy()}, vel, cfg, epoch=0)
+        params = one_tensor(np.zeros(2))
+        vel = one_tensor(np.zeros(2))
+        sgd_step(params, one_tensor(g), vel, cfg, epoch=0)
         np.testing.assert_allclose(vel["w"], g)
         np.testing.assert_allclose(params["w"], -g)
-        sgd_step(params, {"w": g.copy()}, vel, cfg, epoch=0)
+        sgd_step(params, one_tensor(g), vel, cfg, epoch=0)
         np.testing.assert_allclose(vel["w"], 1.9 * g)
         np.testing.assert_allclose(params["w"], -g - 1.9 * g)
 
     def test_lr_decay_schedule(self):
         cfg = plain_config(learning_rate=0.5, decay_rate=0.9)
         g = np.array([1.0])
-        params = {"w": np.zeros(1)}
-        sgd_step(params, {"w": g.copy()}, {"w": np.zeros(1)}, cfg, epoch=3)
+        params = one_tensor(np.zeros(1))
+        sgd_step(params, one_tensor(g), one_tensor(np.zeros(1)), cfg, epoch=3)
         np.testing.assert_allclose(params["w"], -0.5 * 0.9 ** 3 * g)
 
     def test_non_finite_gradient_raises(self):
         cfg = plain_config()
-        params = {"w": np.zeros(2)}
+        params = one_tensor(np.zeros(2))
         with pytest.raises(NumericalError):
-            sgd_step(params, {"w": np.array([1.0, np.nan])},
-                     {"w": np.zeros(2)}, cfg, epoch=0)
+            sgd_step(params, one_tensor([1.0, np.nan]), one_tensor(np.zeros(2)), cfg, epoch=0)
         with pytest.raises(NumericalError):
-            sgd_step(params, {"w": np.array([np.inf, 0.0])},
-                     {"w": np.zeros(2)}, cfg, epoch=0)
+            sgd_step(params, one_tensor([np.inf, 0.0]), one_tensor(np.zeros(2)), cfg, epoch=0)
 
     def test_global_norm(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
@@ -360,18 +370,6 @@ class TestFlatSgd:
                 assert np.array_equal(params[k], ref_params[k]), k
                 assert np.array_equal(vel[k], ref_vel[k]), k
                 assert np.array_equal(grads[k], ref_grads[k]), k  # grads are not modified
-
-    def test_store_with_plain_dicts_updates_tensor_by_tensor(self):
-        model, _, _ = build_tiny_model()
-        rng = np.random.default_rng(8)
-        grads = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
-        ref_params = {k: v.copy() for k, v in model.params.items()}
-        ref_sgd_step(ref_params, dict(grads), {k: np.zeros_like(v) for k, v in grads.items()},
-                     model.config, 0)
-        sgd_step(model.params, grads, {k: np.zeros_like(v) for k, v in grads.items()},
-                 model.config, 0)
-        for k in ref_params:
-            assert np.array_equal(model.params[k], ref_params[k]), k
 
     def test_non_finite_error_names_the_tensor(self):
         model, _, _ = build_tiny_model()
@@ -506,7 +504,7 @@ class TestTagging:
         model, sents, _ = build_tiny_model()
         for s in sents:
             tags = model.tag(s)
-            validate_tags(tags, TagScheme.BILOU)
+            tags_to_mentions(tags, TagScheme.BILOU, strict=True)
 
     def test_tagging_is_deterministic(self):
         model, sents, _ = build_tiny_model()

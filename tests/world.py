@@ -88,4 +88,6 @@ BAD_CHECKPOINT_HEADERS = {
     "mistyped_param_shape": lambda h: {**h, "params": [{"name": "trans", "shape": "2x2"}]},
     "renamed_param": lambda h: {**h, "params": [{**s, "name": s["name"].replace("proj_b", "proj_c")}
                                                 for s in h["params"]]},
+    "zero_dimension_shape": lambda h: {**h, "params": [{**s, "shape": [0, 2**62]} if s["name"] == "trans"
+                                                       else s for s in h["params"]]},
 }
