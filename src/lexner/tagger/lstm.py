@@ -1,34 +1,52 @@
 """Batched LSTM forward/backward in plain numpy (float64).
 
-Sequences are laid out time-major, (T, B, D), with a (T, B) mask that is 1
-on real positions and 0 on padding. Masked steps carry the previous hidden
+Positions are laid out time-major, (T, B), with a (T, B) mask that is 1 on
+real positions and 0 on padding. Masked steps carry the previous hidden
 and cell state through unchanged, so the final row of the hidden sequence
 always holds each sequence's true last state, and a reversed-and-padded
 batch runs through the same kernel for the backward direction.
+
+The input is a table of rows, x (N, D), plus a (T, B) index `rows` that
+says which row feeds each position; many positions may share a row (a
+word's characters are rows of the character embedding, a sentence's
+tokens rows of the distinct surfaces). Without `rows`, x is the (T, B, D)
+batch itself, one row per position.
 
 Gate layout along the last axis of the parameter matrices: input, forget,
 candidate, output. Sigmoid on i/f/o, tanh on the candidate.
 
 Only the recurrent product h @ wh runs inside the time loop. The input
-projection x @ wx + b is one (T*B, D) @ (D, 4H) product before the loop,
-and the backward pass collects the pre-activation gradients of every step
-so that dx, d_wx, d_wh and d_b are one product (or sum) each after it.
+projection x @ wx + b runs before the loop, once per row, and is gathered
+straight into the per-step layout. When there are no more positions than
+rows, the positions are projected instead. The backward pass collects the
+pre-activation gradients of every step so that dx, d_wx, d_wh and d_b are
+one product (or sum) each after it; dx is per position, and only d_wx
+needs the inputs, so the backward pass gathers them per position there.
 
-Both kernels also take one leading stack axis: x (S, T, B, D) with wx
-(S, D, 4H), wh (S, H, 4H) and b (S, 4H) runs S independent recurrences (the
-two directions of a BiLSTM) over one shared (T, B) mask, so they share each
-step's numpy-call overhead. Inputs, outputs and gradients then carry S in
-front; inside, per-step arrays are (T, S, B, .) so each step's slice is
-contiguous.
+Projecting rows gives every position the bits that projecting the
+positions would: the matrix product computes each output row from its
+input row alone, whatever else is in the batch. The exception is a product
+with one row, which numpy runs as a matrix-vector product that rounds
+differently, so a one-row table is projected per position too.
+
+Both kernels also take one leading stack axis: wx (S, D, 4H), wh (S, H, 4H)
+and b (S, 4H) run S independent recurrences (the two directions of a
+BiLSTM) over one shared (T, B) mask, so they share each step's numpy-call
+overhead. `rows` is then (S, T, B), one index per recurrence, over the
+shared table x (N, D); without `rows`, x is (S, T, B, D). Outputs and
+gradients carry S in front; inside, per-step arrays are (T, S, B, .) so
+each step's slice is contiguous.
 
 Each forward step writes its states straight into the cache arrays. On a
 step where every sequence is still running, both passes skip the carry
 selection, which would pick the fresh values everywhere.
 
-The forward cache is a dict: "x" as given, "real" (T, B, 1) bool, "h" and
-"c" (T, [S,] B, H) holding the carried states after each step, "gates"
-(T, [S,] B, 4H) holding the activated i/f/g/o and "tanh_c" (T, [S,] B, H)
-holding tanh of the candidate cell state.
+The forward cache is a dict: "x" the rows projected and "rows" ([S,] T, B)
+the index into them, or None when "x" holds the positions ([S,] T, B, D)
+themselves, "real" (T, B, 1) bool, "h" and "c" (T, [S,] B, H) holding the
+carried states after each step, "gates" (T, [S,] B, 4H) holding the
+activated i/f/g/o and "tanh_c" (T, [S,] B, H) holding tanh of the
+candidate cell state.
 """
 from __future__ import annotations
 
@@ -61,20 +79,35 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def lstm_forward(
-    params: dict[str, np.ndarray], x: np.ndarray, mask: np.ndarray | None = None
+    params: dict[str, np.ndarray],
+    x: np.ndarray,
+    mask: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Run the recurrence over a (T, B, D) or stacked (S, T, B, D) batch.
+    """Run the recurrence over the rows of x that `rows` places at each
+    (T, B) position, or over a (T, B, D) batch when `rows` is None.
 
     Returns (h_seq (T, B, H), h_final (B, H), c_final (B, H), cache), each
-    with the stack axis in front when x has one. Initial states are zero.
-    With T == 0 everything is empty/zero.
+    with the stack axis in front when the parameters have one. Initial
+    states are zero. With T == 0 everything is empty/zero.
     """
-    *stack, T, B, D = x.shape
     wh = params["wh"]
-    H = wh.shape[-2]
+    *stack, H, _ = wh.shape
+    if rows is not None and not 1 < len(x) < rows.shape[-2] * rows.shape[-1]:
+        # projecting the positions is no more work (see the module notes for
+        # the one-row table)
+        x, rows = x.take(rows, axis=0), None
+    if rows is None:  # one row per position
+        *lead, T, B, D = x.shape
+        table, at = x.reshape(*lead, T * B, D), np.arange(T * B).reshape(T, B)
+    else:
+        T, B = rows.shape[-2:]
+        table, at = x, rows
     real = np.ones((T, B, 1), dtype=bool) if mask is None else mask[:, :, None] != 0
-    a_x = x.reshape(*stack, T * B, D) @ params["wx"] + params["b"][..., None, :]
-    a_x = _swap_time(a_x.reshape(*stack, T, B, 4 * H)).copy()
+    a_rows = table @ params["wx"] + params["b"][..., None, :]  # (*stack, N, 4H)
+    if stack:  # row numbers in a_rows flattened to (S * N, 4H), time-major
+        at = np.swapaxes(at + table.shape[-2] * np.arange(stack[0])[:, None, None], 0, 1)
+    a_x = a_rows.reshape(-1, 4 * H).take(at, axis=0)  # (T, *stack, B, 4H)
     pad = ~real
     full = real.all(axis=(1, 2)).tolist()  # steps where every sequence is running
     h = np.zeros((*stack, B, H))
@@ -95,7 +128,8 @@ def lstm_forward(
             np.copyto(h_t, h, where=pad[t])
             np.copyto(c_t, c, where=pad[t])
         h, c = h_t, c_t
-    cache = {"x": x, "real": real, "h": h_seq, "c": c_seq, "gates": gates, "tanh_c": tanh_c}
+    cache = {"x": x, "rows": rows, "real": real, "h": h_seq, "c": c_seq, "gates": gates,
+             "tanh_c": tanh_c}
     return _swap_time(h_seq), h, c, cache
 
 
@@ -123,11 +157,12 @@ def lstm_backward(
     dh_seq matches h_seq (may be None when only the final state feeds the
     loss); dh_final/dc_final inject gradients arriving at the last carried
     states. Returns (dx (T, B, D), parameter gradients), with the stack
-    axis in front as in the forward call.
+    axis in front as in the forward call; dx is per position, not per row.
     """
     wx, wh = params["wx"], params["wh"]
-    x, real, gates, tanh_c = cache["x"], cache["real"], cache["gates"], cache["tanh_c"]
-    *stack, T, B, D = x.shape
+    x, rows, real, gates, tanh_c = (cache[k] for k in ("x", "rows", "real", "gates", "tanh_c"))
+    T, *stack, B, _ = gates.shape
+    D = x.shape[-1]
     H = wh.shape[-2]
     h_prev = _shift_in_zero(cache["h"])
     c_prev = _shift_in_zero(cache["c"])
@@ -171,8 +206,9 @@ def lstm_backward(
 
     da = _swap_time(da.reshape(T, *stack, B, 4 * H)).reshape(*stack, T * B, 4 * H)
     h_prev = _swap_time(h_prev).reshape(*stack, T * B, H)
+    x_at = x if rows is None else x.take(rows, axis=0)  # the input at each position
     grads = {
-        "wx": np.swapaxes(x.reshape(*stack, T * B, D), -1, -2) @ da,
+        "wx": np.swapaxes(x_at.reshape(*stack, T * B, D), -1, -2) @ da,
         "wh": np.swapaxes(h_prev, -1, -2) @ da,
         "b": da.sum(axis=-2),
     }

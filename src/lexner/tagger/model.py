@@ -182,6 +182,30 @@ class ParamStore(Mapping):
         return len(self._views)
 
 
+# padded positions (sentences times the longest) tagged at once; bounds the
+# working set of `tag_batch`, which is about 27 KiB per padded position at
+# the default TaggerConfig
+_TAG_CHUNK_POSITIONS = 4096
+
+
+def _runs(batch: list[Sentence], limit: int) -> Iterator[list[Sentence]]:
+    """Consecutive runs of `batch` of at most `limit` padded positions each;
+    a sentence longer than `limit` is a run of its own."""
+    start, longest = 0, 0
+    for i, s in enumerate(batch):
+        longest = max(longest, len(s))
+        if (i + 1 - start) * longest > limit and i > start:
+            yield batch[start:i]
+            start, longest = i, len(s)
+    if start < len(batch):
+        yield batch[start:]
+
+
+def _positions(T: int, B: int) -> np.ndarray:
+    """The (T, B) row index of a batch that has one row per position."""
+    return np.arange(T * B).reshape(T, B)
+
+
 class TaggerModel:
     """Parameters plus the frozen lookups; built by `build`, not directly."""
 
@@ -230,6 +254,7 @@ class TaggerModel:
             raise DataError("empty tag set")
         chars = sorted(set(charset))
         words = list(pretrained.words) if pretrained is not None else []
+        model = cls(config, tags, chars, words, {}, ls_table, gazetteer)  # checks the tables
 
         rng = np.random.default_rng(config.seed)
         params: dict[str, np.ndarray] = {}
@@ -249,12 +274,8 @@ class TaggerModel:
             params["cap_emb"] = glorot(rng, (N_CAP_CLASSES, config.cap_emb_dim))
             widths["cap"] = config.cap_emb_dim
         if config.uses("ls"):
-            if ls_table is None:
-                raise DataError("ls block enabled but no LS table given")
             widths["ls"] = ls_table.dim
         if config.uses("gazetteer"):
-            if gazetteer is None:
-                raise DataError("gazetteer block enabled but no gazetteer given")
             widths["gazetteer"] = len(gazetteer)
         empty = [name for name, d in widths.items() if d < 1]
         if empty:
@@ -267,7 +288,8 @@ class TaggerModel:
         params["proj_w"] = glorot(rng, (2 * config.word_hidden, len(tags)))
         params["proj_b"] = np.zeros(len(tags))
         params["trans"] = np.zeros((len(tags) + 2, len(tags) + 2))
-        return cls(config, tags, chars, words, params, ls_table, gazetteer)
+        model.params = ParamStore.from_arrays(params)
+        return model
 
     # -- feature assembly ---------------------------------------------------
 
@@ -282,19 +304,23 @@ class TaggerModel:
         return [self.char_index.get(c, 0) for c in surface]
 
     def _bilstm(
-        self, prefix: str, x: np.ndarray, lengths: np.ndarray, mask: np.ndarray
+        self, prefix: str, x: np.ndarray, rows: np.ndarray, lengths: np.ndarray,
+        mask: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, dict]:
-        """`{prefix}_fwd` over x and `{prefix}_bwd` over x reversed within
-        `lengths`, as one stacked recurrence.
+        """`{prefix}_fwd` over a batch and `{prefix}_bwd` over it reversed
+        within `lengths`, as one stacked recurrence.
 
-        x is (T, B, D) in reading order. Returns h_seq (2, T, B, H) and
-        h_final (2, B, H), direction 1 in its own (reversed) time order,
-        plus the context for `_bilstm_backward`, whose "rev" index
-        reverses any (T, B, ...) array of this batch within `lengths`.
+        The batch is given as input rows x (N, D) and the (T, B) index
+        `rows` of the row at each position, in reading order, so each
+        direction projects a row once, however many positions it feeds. Returns
+        h_seq (2, T, B, H) and h_final (2, B, H), direction 1 in its own
+        (reversed) time order, plus the context for `_bilstm_backward`,
+        whose "rev" index reverses any (T, B, ...) array of this batch
+        within `lengths`.
         """
-        rev = padded_reversal(lengths, x.shape[0])
+        rev = padded_reversal(lengths, rows.shape[0])
         p = self.params.stacked(prefix)
-        h_seq, h_final, _, cache = lstm_forward(p, np.array((x, x[rev])), mask)
+        h_seq, h_final, _, cache = lstm_forward(p, x, mask, rows=np.array((rows, rows[rev])))
         return h_seq, h_final, {"prefix": prefix, "params": p, "cache": cache, "rev": rev}
 
     def _bilstm_backward(
@@ -304,7 +330,7 @@ class TaggerModel:
         """Backprop through `_bilstm`, gradients in the layout it returned.
 
         Adds the parameter gradients into the stacked fwd/bwd views of
-        `grads` and returns dx (T, B, D) in reading order.
+        `grads` and returns dx (T, B, D), per position, in reading order.
         """
         dx, g = lstm_backward(ctx["params"], ctx["cache"], dh_seq, dh_final=dh_final)
         for k, v in grads.stacked(ctx["prefix"]).items():
@@ -326,8 +352,8 @@ class TaggerModel:
         for j, w in enumerate(words):
             cids[: len(w), j] = self.char_ids(w)
         cmask = (np.arange(lmax)[:, None] < clens[None, :]).astype(np.float64)
-        emb = self.params["char_emb"][cids]  # (lmax, n, char_emb_dim)
-        _, h_final, bictx = self._bilstm("char", emb, clens, cmask)
+        # padding reads the UNK row, as every position of an empty word does
+        _, h_final, bictx = self._bilstm("char", self.params["char_emb"], cids, clens, cmask)
         return np.concatenate(h_final, axis=1), {"n": n, "cids": cids, "cmask": cmask, "bilstm": bictx}
 
     def _char_backward(self, d_reps: np.ndarray, ctx: dict, grads: ParamStore) -> None:
@@ -338,15 +364,21 @@ class TaggerModel:
         real = ctx["cmask"].astype(bool)
         np.add.at(grads["char_emb"], ctx["cids"][real], dxe[real])
 
-    def _assemble(self, batch: list[Sentence]) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-        """Concatenate feature blocks into x (T, B, D_in).
+    def _assemble(
+        self, batch: list[Sentence]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
+        """The word BiLSTM's input: rows x (N, D_in) and the (T, B) index
+        `rows` of the row at each position, so x[rows] is the (T, B, D_in)
+        batch of concatenated feature blocks.
 
         Also returns lengths (B,), mask (T, B), and the assembly context
         used to route gradients back into the trainable blocks.
 
         Every per-token feature except the gazetteer bits depends on the
-        surface alone, so rows are built once per distinct surface and
-        gathered onto the real positions.
+        surface alone, so there is one row per distinct surface, plus an
+        all-zero last row that every padded position reads. The gazetteer
+        bits depend on the context, so with that block every position gets
+        a row of its own.
         """
         cfg = self.config
         B = len(batch)
@@ -361,24 +393,25 @@ class TaggerModel:
         index: dict[str, int] = {}
         inverse = [index.setdefault(tok.surface, len(index)) for s in batch for tok in s.tokens]
         types = list(index)
-        type_grid = np.zeros((B, T), dtype=np.int64)
-        type_grid[real.T] = inverse  # surfaces are listed sentence by sentence
-        type_at = type_grid.T[real]  # type of each real position, in (t, b) order
+        rows = np.full((B, T), len(types), dtype=np.int64)
+        rows[real.T] = inverse  # surfaces are listed sentence by sentence
+        rows = rows.T
+        type_at = rows[real]  # type of each real position, in (t, b) order
         ctx: dict = {"real": real, "type_at": type_at}
 
-        rows: dict[str, np.ndarray] = {}  # (n_types, d) per block that reads the surface alone
+        blocks: dict[str, np.ndarray] = {}  # (n_types, d) per block that reads the surface alone
         if cfg.uses("word_emb"):
             ctx["wids"] = np.array([self.word_id(w) for w in types], dtype=np.int64)
-            rows["word_emb"] = self.params["word_emb"][ctx["wids"]]
+            blocks["word_emb"] = self.params["word_emb"][ctx["wids"]]
         if cfg.uses("char"):
-            rows["char"], ctx["char"] = self._char_reps(types)
+            blocks["char"], ctx["char"] = self._char_reps(types)
         if cfg.uses("cap"):
             ctx["caps"] = np.array([int(capitalization_class(w)) for w in types], dtype=np.int64)
-            rows["cap"] = self.params["cap_emb"][ctx["caps"]]
+            blocks["cap"] = self.params["cap_emb"][ctx["caps"]]
         if cfg.uses("ls"):
-            rows["ls"] = np.array([self.ls_table.vector(w) for w in types], dtype=np.float64)
+            blocks["ls"] = np.array([self.ls_table.vector(w) for w in types], dtype=np.float64)
 
-        widths = {name: r.shape[1] for name, r in rows.items()}
+        widths = {name: r.shape[1] for name, r in blocks.items()}
         if cfg.uses("gazetteer"):
             widths["gazetteer"] = len(self.gazetteer)
         ctx["slices"] = {}
@@ -386,23 +419,25 @@ class TaggerModel:
         for name, d in widths.items():
             ctx["slices"][name] = slice(at, at + d)
             at += d
-        x = np.zeros((T, B, at))
-        if rows:
-            surface = np.concatenate(list(rows.values()), axis=1)
-            x[real, : surface.shape[1]] = surface[type_at]
+        x = np.zeros((len(types) + 1, at))
+        if blocks:
+            surface = np.concatenate(list(blocks.values()), axis=1)
+            x[:-1, : surface.shape[1]] = surface
         if cfg.uses("gazetteer"):
+            x = x[rows]
             gaz = ctx["slices"]["gazetteer"]
             for b, s in enumerate(batch):
                 x[: len(s), b, gaz] = gazetteer_features(s, self.gazetteer)
-        return x, lengths, mask, ctx
+            x, rows = x.reshape(T * B, at), _positions(T, B)
+        return x, rows, lengths, mask, ctx
 
     # -- forward/backward ---------------------------------------------------
 
     def _word_bilstm(
-        self, x: np.ndarray, lengths: np.ndarray, mask: np.ndarray
+        self, x: np.ndarray, rows: np.ndarray, lengths: np.ndarray, mask: np.ndarray
     ) -> tuple[np.ndarray, dict]:
         """Word BiLSTM states (T, B, 2*word_hidden), both halves in reading order."""
-        h_seq, _, bictx = self._bilstm("word", x, lengths, mask)
+        h_seq, _, bictx = self._bilstm("word", x, rows, lengths, mask)
         h = np.concatenate([h_seq[0], h_seq[1][bictx["rev"]]], axis=2)
         return h, bictx
 
@@ -424,18 +459,19 @@ class TaggerModel:
         for s in batch:
             if s.tags is None:
                 raise DataError("training sentences must carry gold tags")
-        x, lengths, mask, ctx = self._assemble(batch)
-        T, B, _ = x.shape
+        x, rows, lengths, mask, ctx = self._assemble(batch)
+        T, B = rows.shape
 
         drop_in = drop_out_mask = None
         if train and cfg.dropout_prob > 0.0:
             if rng is None:
                 raise DataError("training mode needs a random generator for dropout")
             keep = 1.0 - cfg.dropout_prob
-            drop_in = (rng.random(x.shape) < keep) / keep
-            x = x * drop_in
+            # the mask is drawn per position, so each position gets a row
+            drop_in = (rng.random((T, B, x.shape[1])) < keep) / keep
+            x, rows = (x[rows] * drop_in).reshape(T * B, -1), _positions(T, B)
 
-        h, wctx = self._word_bilstm(x, lengths, mask)
+        h, wctx = self._word_bilstm(x, rows, lengths, mask)
         if train and cfg.dropout_prob > 0.0:
             keep = 1.0 - cfg.dropout_prob
             drop_out_mask = (rng.random(h.shape) < keep) / keep
@@ -493,18 +529,19 @@ class TaggerModel:
 
     def emissions(self, batch: list[Sentence]) -> tuple[np.ndarray, np.ndarray]:
         """Eval-mode emission scores (T, B, L) and lengths."""
-        x, lengths, mask, _ = self._assemble(batch)
-        h, _ = self._word_bilstm(x, lengths, mask)
+        x, rows, lengths, mask, _ = self._assemble(batch)
+        h, _ = self._word_bilstm(x, rows, lengths, mask)
         em = h @ self.params["proj_w"] + self.params["proj_b"]
         return em, lengths
 
     def tag_batch(self, batch: list[Sentence]) -> list[list[str]]:
-        nonempty = [s for s in batch if len(s) > 0]
-        if not nonempty:
-            return [[] for _ in batch]
-        em, lengths = self.emissions(nonempty)
+        """Tags of every sentence, decoded a run of consecutive sentences
+        at a time so that the working set stays bounded."""
         allowed = self.allowed if self.config.mask_decode else None
-        paths, _ = viterbi_decode_batched(em, lengths, self.params["trans"], allowed)
+        paths: list[list[int]] = []
+        for part in _runs([s for s in batch if len(s) > 0], _TAG_CHUNK_POSITIONS):
+            em, lengths = self.emissions(part)
+            paths += viterbi_decode_batched(em, lengths, self.params["trans"], allowed)[0]
         tagged = iter(paths)
         return [[self.tags[j] for j in next(tagged)] if len(s) > 0 else [] for s in batch]
 
@@ -636,11 +673,9 @@ def load_checkpoint(path: str | Path, ls_table: LSTable | None = None) -> Tagger
         params[spec["name"]] = values.astype(np.float64).reshape(shape)
     r.end("last tensor")
 
-    if cfg.uses("ls"):
-        if ls_table is None:
-            raise DataError("checkpoint uses the ls block: pass its LS table")
-        if header["ls_hash"] and ls_table.content_hash() != header["ls_hash"]:
-            raise DataError("LS table content hash does not match the checkpoint")
+    if (cfg.uses("ls") and ls_table is not None and header["ls_hash"]
+            and ls_table.content_hash() != header["ls_hash"]):
+        raise DataError("LS table content hash does not match the checkpoint")
     gaz = None
     if header["gazetteer"] is not None:
         g = header["gazetteer"]

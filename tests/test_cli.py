@@ -309,6 +309,11 @@ class TestPipeline:
         assert [r[0] for r in out] == words
         assert all(r[1] == "O" and len(r) == 3 for r in out)
 
+    def test_tag_without_ls_table_is_data_error(self, pipe, capsys):
+        assert main(["tag", "--checkpoint", str(pipe / "model.ckpt"),
+                     "--input", str(pipe / "test.txt")]) == 2
+        assert "ls block but no LS table was given" in capsys.readouterr().err
+
     def test_tag_rejects_non_finite_checkpoint(self, pipe, tmp_path, capsys):
         raw = bytearray((pipe / "model.ckpt").read_bytes())
         raw[-4:] = np.float32(np.inf).tobytes()

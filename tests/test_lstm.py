@@ -476,3 +476,66 @@ class TestSigmoid:
         with np.errstate(all="raise"):
             out = _sigmoid(np.array([-1e4, 1e4]))
         assert out[0] == 0.0 and out[1] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# input rows shared by positions
+# ---------------------------------------------------------------------------
+
+class TestRowIndex:
+    """Projecting a table of rows once and gathering the results keeps every
+    bit of projecting each position's copy of its row."""
+
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=5), st.integers(0, 2),
+           st.integers(1, 8), st.booleans(), st.integers(0, 2**16))
+    @example([3, 1, 2], 0, 4, True, 0)       # ended sequences, fewer rows than positions
+    @example([2, 2], 0, 1, True, 1)          # one row feeds every position
+    @example([1], 0, 5, True, 2)             # B = 1, one position
+    @example([6], 1, 2, False, 3)            # B = 1, unstacked, padding
+    @example([0, 0], 0, 3, True, 4)          # T = 0
+    @example([5, 5, 5], 0, 3, False, 5)      # every step full, rows repeat
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_position_call(self, lengths, pad, n_rows, stacked, seed):
+        rng = np.random.default_rng(seed)
+        d, h, B, T = 3, 2, len(lengths), max(lengths) + pad
+        stack = (2,) if stacked else ()
+        ps = [make_params(rng, d, h) for _ in range(2)]
+        p = {k: np.stack([ps[0][k], ps[1][k]]) for k in ps[0]} if stacked else ps[0]
+        x = rng.normal(size=(n_rows, d))
+        rows = rng.integers(0, n_rows, size=(*stack, T, B))
+        mask = (np.arange(T)[:, None] < np.array(lengths)[None, :]).astype(float)
+        dh_seq = rng.normal(size=(*stack, T, B, h))
+        dh_fin, dc_fin = rng.normal(size=(*stack, B, h)), rng.normal(size=(*stack, B, h))
+
+        got = lstm_forward(p, x, mask, rows=rows)
+        want = lstm_forward(p, x[rows], mask)
+        for a, b in zip(got[:3], want[:3]):
+            assert np.array_equal(a, b)
+        for k in ("real", "h", "c", "gates", "tanh_c"):
+            assert np.array_equal(got[3][k], want[3][k]), k
+        cache = got[3]
+        at = cache["x"] if cache["rows"] is None else cache["x"][cache["rows"]]
+        assert np.array_equal(at, x[rows])
+        dx, grads = lstm_backward(p, got[3], dh_seq, dh_final=dh_fin, dc_final=dc_fin)
+        r_dx, r_grads = lstm_backward(p, want[3], dh_seq, dh_final=dh_fin, dc_final=dc_fin)
+        assert np.array_equal(dx, r_dx)
+        for k in ("wx", "wh", "b"):
+            assert np.array_equal(grads[k], r_grads[k]), k
+
+    @pytest.mark.parametrize("n_rows, T, B, by_row", [
+        (3, 6, 4, True),     # fewer rows than positions
+        (24, 6, 4, False),   # as many rows as positions
+        (1, 6, 4, False),    # one row
+        (2, 1, 1, False),    # one position
+    ])
+    def test_the_fewer_of_rows_and_positions_is_projected(self, n_rows, T, B, by_row):
+        rng = np.random.default_rng(0)
+        ps = [make_params(rng, 3, 2) for _ in range(2)]
+        p = {k: np.stack([ps[0][k], ps[1][k]]) for k in ps[0]}
+        x = rng.normal(size=(n_rows, 3))
+        rows = rng.integers(0, n_rows, size=(2, T, B))
+        cache = lstm_forward(p, x, rows=rows)[3]
+        if by_row:
+            assert cache["x"] is x and np.array_equal(cache["rows"], rows)
+        else:
+            assert cache["rows"] is None and np.array_equal(cache["x"], x[rows])

@@ -7,7 +7,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexner.corpus import Sentence, TagScheme, TypeInventory, tags_to_mentions
@@ -25,10 +25,12 @@ from lexner.tagger import (
     sgd_step,
     train,
 )
+from lexner.tagger import model as model_module
 from lexner.tagger.gradcheck import gradient_check
-from lexner.tagger.model import HEADER_OFFSET, ParamStore
+from lexner.tagger.model import HEADER_OFFSET, ParamStore, _runs
 from lexner.tagger.train import global_norm
 
+from per_position import PerPositionTagger
 from world import (
     BAD_CHECKPOINT_HEADERS,
     TYPES3,
@@ -55,6 +57,12 @@ def build_tiny_model(features=("word_emb", "char", "cap", "ls"), gazetteer=None,
 # ---------------------------------------------------------------------------
 # feature assembly
 # ---------------------------------------------------------------------------
+
+def batch_input(model, words):
+    """The word BiLSTM's (T, 1, D) input for one sentence."""
+    x, rows = model._assemble([Sentence.from_words(words)])[:2]
+    return x[rows]
+
 
 class TestAssembly:
     def test_input_dim_all_blocks(self):
@@ -87,7 +95,7 @@ class TestAssembly:
     def test_assemble_single_token_blocks(self):
         model, _, ls = build_tiny_model()
         cfg = model.config
-        vec = model._assemble([Sentence.from_words(["fox"])])[0][0, 0]
+        vec = batch_input(model, ["fox"])[0, 0]
         d_w = 6
         word_part = vec[:d_w]
         np.testing.assert_allclose(
@@ -95,7 +103,7 @@ class TestAssembly:
         ls_part = vec[-ls.dim:]
         np.testing.assert_allclose(ls_part, ls.vector("fox"), rtol=1e-6, atol=1e-7)
         # unknown word hits the UNK row (zeros at init)
-        unk = model._assemble([Sentence.from_words(["zzzz"])])[0][0, 0]
+        unk = batch_input(model, ["zzzz"])[0, 0]
         np.testing.assert_array_equal(unk[:d_w], model.params["word_emb"][0])
 
     def test_cap_block_distinguishes_case(self):
@@ -103,7 +111,7 @@ class TestAssembly:
         cfg = model.config
         lo = 6 + 2 * cfg.char_hidden
         hi = lo + cfg.cap_emb_dim
-        x = model._assemble([Sentence.from_words(["fox", "Fox"])])[0]
+        x = batch_input(model, ["fox", "Fox"])
         a, b = x[0, 0, lo:hi], x[1, 0, lo:hi]
         np.testing.assert_allclose(a, model.params["cap_emb"][1])  # all lower
         np.testing.assert_allclose(b, model.params["cap_emb"][2])  # upper first
@@ -132,6 +140,16 @@ class TestAssembly:
             tiny_config(features=())
         with pytest.raises(DataError):
             tiny_config(features=("word_emb", "word_emb"))
+
+    @pytest.mark.parametrize("feature, message", [
+        ("ls", "config enables the ls block but no LS table was given"),
+        ("gazetteer", "config enables the gazetteer block but none was given"),
+    ])
+    def test_build_needs_the_table_of_each_frozen_block(self, feature, message):
+        table, _, _ = tiny_world()
+        with pytest.raises(DataError, match=message):
+            TaggerModel.build(tiny_config(features=("word_emb", feature)), ["O"], ["a"],
+                              pretrained=table)
 
     @pytest.mark.parametrize("features, inputs", [
         (("gazetteer",), dict(gazetteer=Gazetteer({}))),
@@ -194,6 +212,60 @@ class TestRepeatedSurfaces:
         assert {"char_emb", "char_fwd.wx", "char_bwd.wh"} <= set(report)
         for name, err in report.items():
             assert err <= 1e-4, f"{name}: {err:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# input rows against the per-position path
+# ---------------------------------------------------------------------------
+
+# Surfaces repeat and differ only in case; "a" and "x" are one character
+# long, "zq" and "Crow" are outside the vocabulary, "zq" outside the charset.
+ORACLE_WORDS = ["the", "The", "fox", "a", "iron", "rust", "gold", "zq", "Crow", "x"]
+ORACLE_FEATURES = {
+    "all": ("word_emb", "char", "cap", "ls"),
+    "no_char": ("word_emb", "cap", "ls"),
+    "gazetteer": ("word_emb", "char", "cap", "ls", "gazetteer"),
+    "char_only": ("char",),
+}
+ORACLE_SENTENCES = st.lists(
+    st.lists(st.tuples(st.sampled_from(ORACLE_WORDS), st.sampled_from(["O", "U-animal"])),
+             min_size=1, max_size=6),
+    min_size=1, max_size=5)
+
+
+class TestPerPositionOracle:
+    """Projecting each distinct input row once keeps every bit of the
+    per-position path (`tests/per_position.py`): the word BiLSTM's input
+    at every position, emissions, loss, every gradient and the dropout
+    generator's state."""
+
+    @given(st.sampled_from(sorted(ORACLE_FEATURES)), st.booleans(), ORACLE_SENTENCES,
+           st.integers(0, 2**16))
+    @example("all", False, [[("fox", "U-animal")]], 0)          # one position
+    @example("all", True, [[("a", "O")], [("a", "O")]], 1)       # one character, repeated
+    @example("gazetteer", True, [[("iron", "O"), ("rust", "O"), ("gold", "U-animal")]], 2)
+    @example("char_only", False, [[("x", "O")]], 3)
+    @settings(max_examples=60, deadline=None)
+    def test_row_path_equals_per_position_path(self, features, dropout, sentences, seed):
+        gaz = Gazetteer({"metalish": ["iron rust", "gold"], "beasts": ["fox", "crow"]})
+        model, _, _ = build_tiny_model(features=ORACLE_FEATURES[features], gazetteer=gaz,
+                                       seed=seed)
+        ref = PerPositionTagger.of(model)
+        batch = [Sentence.from_words([w for w, _ in s], tags=[t for _, t in s]) for s in sentences]
+
+        x, rows = model._assemble(batch)[:2]
+        assert np.array_equal(x[rows], ref._assemble(batch)[0])  # padding reads zeros
+        em, lengths = model.emissions(batch)
+        r_em, r_lengths = ref.emissions(batch)
+        assert np.array_equal(em, r_em) and np.array_equal(lengths, r_lengths)
+
+        rng, r_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        nll, grads = model.nll_and_gradients(batch, train=dropout, rng=rng)
+        r_nll, r_grads = ref.nll_and_gradients(batch, train=dropout, rng=r_rng)
+        assert nll == r_nll
+        for k in r_grads:
+            assert np.array_equal(grads[k], r_grads[k]), k
+        assert rng.bit_generator.state == r_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +604,37 @@ class TestTagging:
         assert model.tag_batch([]) == []
         assert model.tag_batch([empty, empty]) == [[], []]
 
+    def test_runs_of_bounded_size_give_the_one_batch_tags(self, monkeypatch):
+        model, sents, _ = build_tiny_model()
+        rng = np.random.default_rng(6)
+        model.params["trans"] = rng.normal(size=model.params["trans"].shape) * 2
+        model.params["proj_w"] = rng.normal(size=model.params["proj_w"].shape) * 3
+        batch = sents + [Sentence.from_words([])] + sents[::-1] + [Sentence.from_words(["fox"])]
+        whole = model.tag_batch(batch)
+        assert len({tuple(t) for t in whole}) > 4
+        shapes = []
+        emissions = model.emissions
+
+        def recorded(part):
+            shapes.append((len(part), max(len(s) for s in part)))
+            return emissions(part)
+
+        monkeypatch.setattr(model, "emissions", recorded)
+        monkeypatch.setattr(model_module, "_TAG_CHUNK_POSITIONS", 11)
+        assert model.tag_batch(batch) == whole
+        assert len(shapes) > 3 and all(b * t <= 11 or b == 1 for b, t in shapes)
+
+    @given(st.lists(st.integers(1, 9), max_size=12), st.integers(1, 30))
+    @settings(max_examples=200, deadline=None)
+    def test_runs_are_greedy_consecutive_and_bounded(self, lengths, limit):
+        batch = [Sentence.from_words(["w"] * n) for n in lengths]
+        runs = list(_runs(batch, limit))
+        assert [s for r in runs for s in r] == batch and all(runs)
+        size = [len(r) * max(len(s) for s in r) for r in runs]
+        assert all(n <= limit or len(r) == 1 for n, r in zip(size, runs))
+        for r, nxt in zip(runs, runs[1:]):  # the next sentence would not have fitted
+            assert (len(r) + 1) * max(len(s) for s in r + nxt[:1]) > limit
+
 
 # ---------------------------------------------------------------------------
 # gazetteer features
@@ -592,6 +695,19 @@ class TestCheckpoint:
                         entries={"the": np.ones(ls.dim, dtype=np.float32)})
         with pytest.raises(DataError):
             load_checkpoint(path, ls_table=other)
+
+    def test_frozen_tables_are_required(self, tmp_path):
+        gaz = Gazetteer({"metalish": ["iron rust", "gold"]})
+        model, sents, ls = build_tiny_model(
+            features=("word_emb", "cap", "ls", "gazetteer"), gazetteer=gaz)
+        path = tmp_path / "model.lxnr"
+        save_checkpoint(model, path)
+        with pytest.raises(DataError, match="ls block but no LS table was given"):
+            load_checkpoint(path)
+        bad = tmp_path / "no_gazetteer.lxnr"
+        bad.write_bytes(edit_checkpoint_header(path.read_bytes(), lambda h: {**h, "gazetteer": None}))
+        with pytest.raises(DataError, match="gazetteer block but none was given"):
+            load_checkpoint(bad, ls_table=ls)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.bin"
