@@ -517,6 +517,8 @@ def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
 
 
 def _parse_row(fields: list[bytes], dim: int, row: int, offset: int) -> tuple[str, list[float]]:
+    if not fields:
+        raise FormatError(f"row {row} is a blank line", offset)
     if len(fields) != dim + 1:
         raise FormatError(f"row {row} has {len(fields) - 1} values, expected {dim}", offset)
     try:
@@ -545,49 +547,35 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     Accepts three layouts: our own format (header plus optional subword
     section), plain headered text (word2vec style), and headerless text
     (one "word v1 .. v_dim" row per line) as produced by some third-party
-    pretrained-embedding releases.
+    pretrained-embedding releases. A headerless file's rows run to its end,
+    where blank lines may trail; a blank line before a row is a bad row.
     """
     data = Path(path).read_bytes()
     with io.BytesIO(data) as fh:
-        first = fh.readline()
-        if not first.strip():
+        head_fields = fh.readline().split()
+        if not head_fields:
             raise FormatError("empty embedding file", 0)
-        head_fields = first.split()
-        words: list[str] = []
-        rows: list[list[float]] = []
-        offsets: list[int] = []
         headered = len(head_fields) == 2 and head_fields[0].isdigit() and head_fields[1].isdigit()
         # a headerless file's first row gives the dimension
         dim = int(head_fields[1]) if headered else len(head_fields) - 1
         if dim < 1:
             raise FormatError(f"embedding dimension must be at least 1, got {dim}", 0)
-        if headered:
-            for i in range(int(head_fields[0])):
-                offset = fh.tell()
-                line = fh.readline()
-                if not line:
-                    raise FormatError(f"truncated embedding file: row {i} missing", offset)
-                w, vec = _parse_row(line.split(), dim, i, offset)
-                words.append(w)
-                rows.append(vec)
-                offsets.append(offset)
-        else:
-            offset = 0
-            line = first
-            i = 0
-            while line and line.strip():
-                w, vec = _parse_row(line.split(), dim, i, offset)
-                words.append(w)
-                rows.append(vec)
-                offsets.append(offset)
-                offset = fh.tell()
-                line = fh.readline()
-                i += 1
-            return EmbeddingTable(words, _finite_rows(rows, offsets))
-
+        count, end = (int(head_fields[0]), len(data)) if headered else (None, len(data.rstrip()))
+        if not headered:
+            fh.seek(0)
+        words: list[str] = []
+        rows: list[list[float]] = []
+        offsets: list[int] = []
+        while len(rows) != count and fh.tell() < end:
+            offsets.append(fh.tell())
+            w, vec = _parse_row(fh.readline().split(), dim, len(rows), offsets[-1])
+            words.append(w)
+            rows.append(vec)
+        if headered and len(rows) < count:
+            raise FormatError(f"truncated embedding file: row {len(rows)} missing", end)
         vectors = _finite_rows(rows, offsets)
         r = binfile.Reader(data, fh.tell())
-    if r.at == len(data):
+    if not headered or r.at == len(data):
         return EmbeddingTable(words, vectors)
     section = r.at
     nmin, nmax, nbuckets, sdim, seed = r.header(

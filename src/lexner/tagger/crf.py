@@ -198,7 +198,7 @@ def bilou_allowed_transitions(tags: list[str]) -> np.ndarray:
     def kind(tag: str) -> tuple[str, str | None]:
         if tag == "O":
             return "O", None
-        return tag[0], tag[2:]
+        return tag[:1], tag[2:]  # an empty tag has no kind
 
     opens = {"O", "B", "U"}  # may follow an outside-like state
     closes = {"O", "L", "U"}  # may precede an outside-like state

@@ -11,7 +11,7 @@ bits); disabled blocks are simply omitted and every downstream dimension
 shrinks to match.
 
 Parameters live in a `ParamStore`: named tensors that are views into one
-contiguous float64 buffer. Names iterate in the order `build` creates them,
+contiguous float64 buffer. Names iterate in `TaggerModel.shapes` order,
 which is also the checkpoint order. In the buffer each `{prefix}_fwd.{k}`
 tensor sits directly before its `{prefix}_bwd.{k}` twin, so both
 directions of a BiLSTM read their weights as one stacked (2, ...) view
@@ -44,7 +44,7 @@ from .gazetteer import Gazetteer, gazetteer_features
 from .lstm import glorot, init_lstm_params, lstm_backward, lstm_forward, padded_reversal
 
 CHECKPOINT_MAGIC = b"LXNR"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 FEATURE_NAMES = ("word_emb", "char", "cap", "ls", "gazetteer")
 UNK_WORD = "<unk>"
@@ -62,13 +62,11 @@ class TaggerConfig:
     learning_rate: float = 0.009
     momentum: float = 0.9
     clip_norm: float = 5.0
-    clip_mode: str = "global"
     max_epochs: int = 50
     decay_rate: float = 0.95
     patience: int = 5
     seed: int = 1
     features: tuple[str, ...] = ("word_emb", "char", "cap", "ls")
-    mask_decode: bool = True
 
     def __post_init__(self):
         if isinstance(self.features, (list, set)):
@@ -89,8 +87,6 @@ class TaggerConfig:
             raise DataError("dropout_prob must be in [0, 1)")
         if not (0.0 < self.decay_rate <= 1.0):
             raise DataError("decay_rate must be in (0, 1]")
-        if self.clip_mode not in ("global", "value"):
-            raise DataError(f"unknown clip_mode: {self.clip_mode!r}")
         if self.learning_rate <= 0 or self.clip_norm <= 0:
             raise DataError("learning_rate and clip_norm must be positive")
         if not (0.0 <= self.momentum < 1.0):
@@ -206,8 +202,23 @@ def _positions(T: int, B: int) -> np.ndarray:
     return np.arange(T * B).reshape(T, B)
 
 
+def _lstm_shapes(prefix: str, input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """The `init_lstm_params` tensors of both directions of a BiLSTM."""
+    one = {"wx": (input_dim, 4 * hidden), "wh": (hidden, 4 * hidden), "b": (4 * hidden,)}
+    return {f"{prefix}_{d}.{k}": shape for d in ("fwd", "bwd") for k, shape in one.items()}
+
+
 class TaggerModel:
-    """Parameters plus the frozen lookups; built by `build`, not directly."""
+    """The tensor layout plus the frozen lookups.
+
+    `shapes` is the name and shape of every trainable tensor in build order,
+    which is also the checkpoint order; the config, the tag, char and word
+    lists, the pretrained width `word_dim` and the frozen tables fix it.
+    `params`, a `ParamStore` of that layout, is filled by `build` or
+    `load_checkpoint`.
+    """
+
+    params: ParamStore
 
     def __init__(
         self,
@@ -215,24 +226,48 @@ class TaggerModel:
         tags: list[str],
         chars: list[str],
         words: list[str],
-        params: Mapping[str, np.ndarray],
+        word_dim: int,
         ls_table: LSTable | None,
         gazetteer: Gazetteer | None,
     ):
         self.config = config
         self.tags = list(tags)
+        if not self.tags:
+            raise DataError("empty tag set")
         self.tag_index = {t: i for i, t in enumerate(self.tags)}
         self.chars = list(chars)
         self.char_index = {c: i + 1 for i, c in enumerate(self.chars)}  # 0 = UNK
         self.words = list(words)  # pretrained vocab; row 0 of word_emb is UNK
         self.word_index = {w: i + 1 for i, w in enumerate(self.words)}
-        self.params = params if isinstance(params, ParamStore) else ParamStore.from_arrays(params)
+        self.word_dim = word_dim
         self.ls_table = ls_table
         self.gazetteer = gazetteer
         if config.uses("ls") and ls_table is None:
             raise DataError("config enables the ls block but no LS table was given")
         if config.uses("gazetteer") and gazetteer is None:
             raise DataError("config enables the gazetteer block but none was given")
+        width = {"word_emb": word_dim, "char": 2 * config.char_hidden, "cap": config.cap_emb_dim,
+                 "ls": ls_table.dim if ls_table is not None else 0,
+                 "gazetteer": len(gazetteer) if gazetteer is not None else 0}
+        used = [f for f in FEATURE_NAMES if config.uses(f)]
+        empty = [f for f in used if width[f] < 1]
+        if empty:
+            raise DataError(f"feature block {empty[0]} has input width 0")
+        self.input_dim = sum(width[f] for f in used)
+
+        shapes: dict[str, tuple[int, ...]] = {}
+        if config.uses("word_emb"):
+            shapes["word_emb"] = (len(self.words) + 1, word_dim)
+        if config.uses("char"):
+            shapes["char_emb"] = (len(self.chars) + 1, config.char_emb_dim)
+            shapes.update(_lstm_shapes("char", config.char_emb_dim, config.char_hidden))
+        if config.uses("cap"):
+            shapes["cap_emb"] = (N_CAP_CLASSES, config.cap_emb_dim)
+        shapes.update(_lstm_shapes("word", self.input_dim, config.word_hidden))
+        n_tags = len(self.tags)
+        shapes.update(proj_w=(2 * config.word_hidden, n_tags), proj_b=(n_tags,),
+                      trans=(n_tags + 2, n_tags + 2))
+        self.shapes = shapes
         self.allowed = bilou_allowed_transitions(self.tags)
 
     # -- construction -------------------------------------------------------
@@ -249,53 +284,30 @@ class TaggerModel:
     ) -> "TaggerModel":
         if config.uses("word_emb") and pretrained is None:
             raise DataError("word_emb block needs a pretrained embedding table")
-        tags = sorted(set(tags))
-        if not tags:
-            raise DataError("empty tag set")
-        chars = sorted(set(charset))
-        words = list(pretrained.words) if pretrained is not None else []
-        model = cls(config, tags, chars, words, {}, ls_table, gazetteer)  # checks the tables
+        words, word_dim = ([], 0) if pretrained is None else (pretrained.words, pretrained.dim)
+        model = cls(config, sorted(set(tags)), sorted(set(charset)), words, word_dim,
+                    ls_table, gazetteer)
+        params = model.params = ParamStore(model.shapes)  # zeros: the UNK row, proj_b, trans
 
         rng = np.random.default_rng(config.seed)
-        params: dict[str, np.ndarray] = {}
-        widths: dict[str, int] = {}
-        if config.uses("word_emb"):
-            word_emb = np.zeros((len(words) + 1, pretrained.dim))
-            word_emb[1:] = np.asarray(pretrained.vectors, dtype=np.float64)
-            params["word_emb"] = word_emb
-            widths["word_emb"] = pretrained.dim
-        if config.uses("char"):
-            params["char_emb"] = glorot(rng, (len(chars) + 1, config.char_emb_dim))
-            for name in ("char_fwd", "char_bwd"):
-                for k, v in init_lstm_params(rng, config.char_emb_dim, config.char_hidden).items():
-                    params[f"{name}.{k}"] = v
-            widths["char"] = 2 * config.char_hidden
-        if config.uses("cap"):
-            params["cap_emb"] = glorot(rng, (N_CAP_CLASSES, config.cap_emb_dim))
-            widths["cap"] = config.cap_emb_dim
-        if config.uses("ls"):
-            widths["ls"] = ls_table.dim
-        if config.uses("gazetteer"):
-            widths["gazetteer"] = len(gazetteer)
-        empty = [name for name, d in widths.items() if d < 1]
-        if empty:
-            raise DataError(f"feature block {empty[0]} has input width 0")
-        input_dim = sum(widths.values())
 
-        for name in ("word_fwd", "word_bwd"):
-            for k, v in init_lstm_params(rng, input_dim, config.word_hidden).items():
-                params[f"{name}.{k}"] = v
-        params["proj_w"] = glorot(rng, (2 * config.word_hidden, len(tags)))
-        params["proj_b"] = np.zeros(len(tags))
-        params["trans"] = np.zeros((len(tags) + 2, len(tags) + 2))
-        model.params = ParamStore.from_arrays(params)
+        def lstm(prefix: str, input_dim: int, hidden: int) -> None:
+            for d in ("fwd", "bwd"):
+                for k, v in init_lstm_params(rng, input_dim, hidden).items():
+                    params[f"{prefix}_{d}.{k}"] = v
+
+        if config.uses("word_emb"):
+            params["word_emb"][1:] = pretrained.vectors
+        if config.uses("char"):
+            params["char_emb"] = glorot(rng, model.shapes["char_emb"])
+            lstm("char", config.char_emb_dim, config.char_hidden)
+        if config.uses("cap"):
+            params["cap_emb"] = glorot(rng, model.shapes["cap_emb"])
+        lstm("word", model.input_dim, config.word_hidden)
+        params["proj_w"] = glorot(rng, model.shapes["proj_w"])
         return model
 
     # -- feature assembly ---------------------------------------------------
-
-    @property
-    def input_dim(self) -> int:
-        return self.params["word_fwd.wx"].shape[0]
 
     def word_id(self, surface: str) -> int:
         return self.word_index.get(surface, 0)
@@ -537,11 +549,10 @@ class TaggerModel:
     def tag_batch(self, batch: list[Sentence]) -> list[list[str]]:
         """Tags of every sentence, decoded a run of consecutive sentences
         at a time so that the working set stays bounded."""
-        allowed = self.allowed if self.config.mask_decode else None
         paths: list[list[int]] = []
         for part in _runs([s for s in batch if len(s) > 0], _TAG_CHUNK_POSITIONS):
             em, lengths = self.emissions(part)
-            paths += viterbi_decode_batched(em, lengths, self.params["trans"], allowed)[0]
+            paths += viterbi_decode_batched(em, lengths, self.params["trans"], self.allowed)[0]
         tagged = iter(paths)
         return [[self.tags[j] for j in next(tagged)] if len(s) > 0 else [] for s in batch]
 
@@ -553,22 +564,10 @@ class TaggerModel:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def param_names(config: TaggerConfig) -> list[str]:
-    """Names of the trainable tensors in `TaggerModel.build` order, which is
-    also the checkpoint order."""
-    def lstm(prefix: str) -> list[str]:
-        return [f"{prefix}_{d}.{k}" for d in ("fwd", "bwd") for k in ("wx", "wh", "b")]
-
-    names = ["word_emb"] if config.uses("word_emb") else []
-    if config.uses("char"):
-        names += ["char_emb", *lstm("char")]
-    if config.uses("cap"):
-        names.append("cap_emb")
-    return names + lstm("word") + ["proj_w", "proj_b", "trans"]
-
-
 HEADER_OFFSET = len(binfile.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "I", 0))  # JSON start
-HEADER_KEYS = ("version", "config", "tags", "chars", "words", "params", "ls_hash", "gazetteer")
+HEADER_KEYS = ("version", "config", "tags", "chars", "words", "word_dim", "ls_hash", "gazetteer")
+# JSON types a config value may have, by the type of the field's default
+_CONFIG_JSON_TYPES = {int: (int,), float: (int, float), tuple: (list,)}
 
 
 def _is_str_list(value) -> bool:
@@ -594,60 +593,42 @@ def _read_header(blob: bytes) -> dict:
     config = header["config"]
     if not isinstance(config, dict):
         raise bad("config is not an object")
-    known = [f.name for f in fields(TaggerConfig)]
+    known = {f.name: type(f.default) for f in fields(TaggerConfig)}
     unknown = [k for k in config if k not in known]
     absent = [k for k in known if k not in config]
     if unknown or absent:
         raise bad(f"config fields unknown {unknown}, missing {absent}")
-    try:
-        header["config"] = TaggerConfig(**config)
-    except TypeError as exc:  # a value of the wrong type
-        raise bad(f"config: {exc}") from None
+    mistyped = [k for k, t in known.items() if type(config[k]) not in _CONFIG_JSON_TYPES[t]]
+    if mistyped:
+        raise bad(f"config fields of the wrong type {mistyped}")
+    header["config"] = TaggerConfig(**config)
     for key in ("tags", "chars", "words"):
         if not _is_str_list(header[key]):
             raise bad(f"{key} is not a list of strings")
+    if type(header["word_dim"]) is not int or header["word_dim"] < 0:
+        raise bad("word_dim is not a non-negative integer")
     if not isinstance(header["ls_hash"], str):
         raise bad("ls_hash is not a string")
-    specs = header["params"]
-    if not isinstance(specs, list) or not all(
-        isinstance(s, dict) and isinstance(s.get("name"), str) and isinstance(s.get("shape"), list)
-        and all(type(d) is int and d >= 1 for d in s["shape"]) for s in specs
-    ):
-        raise bad("params is not a list of {name, shape} entries")
-    if [s["name"] for s in specs] != param_names(header["config"]):
-        raise bad("params do not name the tensors of the config's blocks")
     gaz = header["gazetteer"]
-    if gaz is not None and not (
-        isinstance(gaz, dict) and type(gaz.get("max_n")) is int and isinstance(gaz.get("lists"), dict)
-        and all(_is_str_list(v) for v in gaz["lists"].values())
-    ):
-        raise bad("gazetteer is not {max_n, lists}")
+    if gaz is not None and not (isinstance(gaz, dict) and all(_is_str_list(v) for v in gaz.values())):
+        raise bad("gazetteer is not an object of string lists")
     return header
 
 
 def save_checkpoint(model: TaggerModel, path: str | Path) -> None:
-    """Single binary file: magic, version, JSON header, float32 tensors."""
+    """Single binary file: magic, version, JSON header, float32 tensors in
+    `model.shapes` order."""
+    gaz = model.gazetteer
     header = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "tags": model.tags,
         "chars": model.chars,
         "words": model.words,
-        "params": [
-            {"name": k, "shape": list(v.shape)} for k, v in model.params.items()
-        ],
+        "word_dim": model.word_dim,
         "ls_hash": model.ls_table.content_hash() if model.ls_table is not None else "",
-        "gazetteer": (
-            None
-            if model.gazetteer is None
-            else {
-                "max_n": model.gazetteer.max_n,
-                "lists": {
-                    name: sorted(" ".join(e) for e in model.gazetteer.entries[name])
-                    for name in model.gazetteer.names
-                },
-            }
-        ),
+        "gazetteer": None if gaz is None else {
+            name: sorted(" ".join(e) for e in gaz.entries[name]) for name in gaz.names},
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
@@ -659,28 +640,25 @@ def save_checkpoint(model: TaggerModel, path: str | Path) -> None:
 def load_checkpoint(path: str | Path, ls_table: LSTable | None = None) -> TaggerModel:
     """Rebuild a model from its checkpoint.
 
-    A model that uses the LS block needs the same table it was trained
-    with; the stored content hash guards against a silent swap.
+    The header builds the model, whose `shapes` say how many values each
+    tensor reads; a header that sizes tensors beyond the file is a
+    truncation, checked before any store is allocated. A model that uses
+    the LS block needs the same table it was trained with; the stored
+    content hash guards against a silent swap.
     """
     r = binfile.Reader(Path(path).read_bytes())
     (blob_len,) = r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint", "I")
     header = _read_header(bytes(r.take(blob_len, "checkpoint metadata")))
     cfg = header["config"]
-    params: dict[str, np.ndarray] = {}
-    for spec in header["params"]:
-        shape = tuple(spec["shape"])
-        values = r.floats(math.prod(shape), f"tensor {spec['name']!r}")
-        params[spec["name"]] = values.astype(np.float64).reshape(shape)
-    r.end("last tensor")
-
-    if (cfg.uses("ls") and ls_table is not None and header["ls_hash"]
-            and ls_table.content_hash() != header["ls_hash"]):
+    gaz = None if header["gazetteer"] is None else Gazetteer(header["gazetteer"])
+    model = TaggerModel(cfg, header["tags"], header["chars"], header["words"], header["word_dim"],
+                        ls_table if cfg.uses("ls") else None, gaz)
+    if cfg.uses("ls") and header["ls_hash"] and ls_table.content_hash() != header["ls_hash"]:
         raise DataError("LS table content hash does not match the checkpoint")
-    gaz = None
-    if header["gazetteer"] is not None:
-        g = header["gazetteer"]
-        gaz = Gazetteer({k: list(v) for k, v in g["lists"].items()}, max_n=g["max_n"])
-    return TaggerModel(
-        cfg, header["tags"], header["chars"], header["words"], params,
-        ls_table if cfg.uses("ls") else None, gaz,
-    )
+    values = {name: r.floats(math.prod(shape), f"tensor {name!r}")
+              for name, shape in model.shapes.items()}
+    r.end("last tensor")
+    model.params = ParamStore(model.shapes)
+    for name, v in values.items():
+        model.params[name] = v.reshape(model.shapes[name])
+    return model

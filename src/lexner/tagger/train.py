@@ -30,8 +30,9 @@ def sgd_step(
     config: TaggerConfig,
     epoch: int,
 ) -> None:
-    """One in-place update of three stores of one layout: clip, momentum,
-    decayed learning rate, each a single operation on the `flat` buffers.
+    """One in-place update of three stores of one layout: global-norm clip,
+    momentum, decayed learning rate, each a single operation on the `flat`
+    buffers.
 
     The global norm is summed tensor by tensor in `grads` order.
     """
@@ -39,12 +40,9 @@ def sgd_step(
         bad = next(k for k, g in grads.items() if not np.isfinite(g).all())
         raise NumericalError(f"non-finite gradient in parameter {bad!r}")
     g = grads.flat
-    if config.clip_mode == "global":
-        norm = global_norm(grads)
-        if norm > config.clip_norm:
-            g = g * (config.clip_norm / norm)
-    else:
-        g = np.clip(g, -config.clip_norm, config.clip_norm)
+    norm = global_norm(grads)
+    if norm > config.clip_norm:
+        g = g * (config.clip_norm / norm)
     lr = config.learning_rate * config.decay_rate ** epoch
     v = velocities.flat
     v *= config.momentum

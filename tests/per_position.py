@@ -21,8 +21,10 @@ class PerPositionTagger(TaggerModel):
     @classmethod
     def of(cls, model: TaggerModel) -> "PerPositionTagger":
         """The same model, sharing its parameters and tables."""
-        return cls(model.config, model.tags, model.chars, model.words, model.params,
-                   model.ls_table, model.gazetteer)
+        ref = cls(model.config, model.tags, model.chars, model.words, model.word_dim,
+                  model.ls_table, model.gazetteer)
+        ref.params = model.params
+        return ref
 
     def _bilstm(self, prefix, x, lengths, mask):
         rev = padded_reversal(lengths, x.shape[0])

@@ -23,8 +23,10 @@ from lexner.tagger.model import load_checkpoint
 
 from world import (
     BAD_CHECKPOINT_HEADERS,
+    RESIZING_HEADER_EDITS,
     VOCAB,
     edit_checkpoint_header,
+    resize_header,
     tagged_sentences,
     tiny_embeddings,
 )
@@ -42,14 +44,12 @@ class TestConfigParsing:
             "embed.window = 3\n"
             "embed.learning_rate = 0.04\n"
             "tagger.dropout_prob = 0.2\n"
-            "tagger.mask_decode = false\n"
             "paths.embeddings = some/file.vec\n",
             cfg,
         )
         assert cfg.embed.window == 3
         assert cfg.embed.learning_rate == 0.04
         assert cfg.tagger.dropout_prob == 0.2
-        assert cfg.tagger.mask_decode is False
         assert cfg.paths["embeddings"] == "some/file.vec"
 
     def test_root_seed_sets_both_sections(self):
@@ -92,8 +92,8 @@ class TestConfigParsing:
     def test_type_errors_name_the_key(self):
         with pytest.raises(UsageError, match="embed.dim"):
             parse_config_text("embed.dim = wide", PipelineConfig())
-        with pytest.raises(UsageError, match="boolean"):
-            parse_config_text("tagger.mask_decode = maybe", PipelineConfig())
+        with pytest.raises(UsageError, match="tagger.dropout_prob: expected a number"):
+            parse_config_text("tagger.dropout_prob = high", PipelineConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +353,26 @@ class TestPipeline:
         assert main(["tag", "--checkpoint", str(bad), "--input", str(pipe / "test.txt"),
                      "--ls-table", str(pipe / "table.lstb")]) == 2
         assert "bad checkpoint header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(RESIZING_HEADER_EDITS))
+    def test_tag_rejects_resized_checkpoint_header(self, pipe, tmp_path, capsys, case):
+        raw = (pipe / "model.ckpt").read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(edit_checkpoint_header(
+            raw, lambda h: resize_header(h, *RESIZING_HEADER_EDITS[case])))
+        assert main(["tag", "--checkpoint", str(bad), "--input", str(pipe / "test.txt"),
+                     "--ls-table", str(pipe / "table.lstb")]) == 2
+        err = capsys.readouterr().err
+        assert "truncated tensor" in err or "trailing bytes" in err
+
+    def test_tag_rejects_a_version_1_checkpoint(self, pipe, tmp_path, capsys):
+        raw = bytearray((pipe / "model.ckpt").read_bytes())
+        raw[4] = 1
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(bytes(raw))
+        assert main(["tag", "--checkpoint", str(old), "--input", str(pipe / "test.txt"),
+                     "--ls-table", str(pipe / "table.lstb")]) == 2
+        assert "unsupported checkpoint version 1" in capsys.readouterr().err
 
 # ---------------------------------------------------------------------------
 # ablate

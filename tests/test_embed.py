@@ -559,6 +559,25 @@ class TestPersistence:
         assert table.dim == 3
         np.testing.assert_allclose(table.vectors[1], [-1, 0.5, 2])
 
+    @pytest.mark.parametrize("text", ["a 1 2", "a 1 2\n\n\n", "a 1 2\r\n \r\n\t"])
+    def test_headerless_trailing_blank_lines_accepted(self, tmp_path, text):
+        p = tmp_path / "glove.txt"
+        p.write_text(text, encoding="utf-8")
+        table = load_embeddings(p)
+        assert table.words == ["a"]
+        np.testing.assert_array_equal(table.vectors, [[1, 2]])
+
+    @pytest.mark.parametrize("text, offset", [
+        ("a 1 2\n\nb 3 4\n", 6),           # headerless: once stopped at the blank line
+        ("2 2\na 1 2\n\nb 3 4\n", 10),     # headered
+    ])
+    def test_row_after_a_blank_line_rejected(self, tmp_path, text, offset):
+        p = tmp_path / "vec.txt"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match="row 1 is a blank line") as err:
+            load_embeddings(p)
+        assert err.value.offset == offset
+
     def test_headered_plain_format(self, tmp_path):
         p = tmp_path / "w2v.txt"
         p.write_text("2 3\nthe 0.1 0.2 0.3\ncat -1 0.5 2\n", encoding="utf-8")

@@ -3,6 +3,7 @@ arithmetic, the training loop, and checkpoint round trips.
 """
 import json
 import struct
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -27,15 +28,17 @@ from lexner.tagger import (
 )
 from lexner.tagger import model as model_module
 from lexner.tagger.gradcheck import gradient_check
-from lexner.tagger.model import HEADER_OFFSET, ParamStore, _runs
+from lexner.tagger.model import HEADER_KEYS, HEADER_OFFSET, ParamStore, _runs
 from lexner.tagger.train import global_norm
 
 from per_position import PerPositionTagger
 from world import (
     BAD_CHECKPOINT_HEADERS,
+    RESIZING_HEADER_EDITS,
     TYPES3,
     VOCAB,
     edit_checkpoint_header,
+    resize_header,
     tagged_sentences,
     tiny_config,
     tiny_embeddings,
@@ -357,13 +360,6 @@ class TestSgd:
         sgd_step(params, one_tensor(g), one_tensor(np.zeros(2)), cfg, epoch=0)
         np.testing.assert_allclose(params["w"], -g)
 
-    def test_value_clip(self):
-        cfg = plain_config(clip_mode="value")
-        g = np.array([-10.0, 0.5, 7.0])
-        params = one_tensor(np.zeros(3))
-        sgd_step(params, one_tensor(g), one_tensor(np.zeros(3)), cfg, epoch=0)
-        np.testing.assert_allclose(params["w"], -np.array([-5.0, 0.5, 5.0]))
-
     def test_momentum_accumulates(self):
         cfg = plain_config(momentum=0.9)
         g = np.array([0.1, -0.2])
@@ -401,12 +397,9 @@ def ref_sgd_step(params, grads, velocities, config, epoch):
     for k, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient in parameter {k!r}")
-    if config.clip_mode == "global":
-        norm = global_norm(grads)
-        scale = config.clip_norm / norm if norm > config.clip_norm else 1.0
-        clipped = {k: g * scale for k, g in grads.items()}
-    else:
-        clipped = {k: np.clip(g, -config.clip_norm, config.clip_norm) for k, g in grads.items()}
+    norm = global_norm(grads)
+    scale = config.clip_norm / norm if norm > config.clip_norm else 1.0
+    clipped = {k: g * scale for k, g in grads.items()}
     lr = config.learning_rate * config.decay_rate ** epoch
     for k in params:
         velocities[k] = config.momentum * velocities[k] + clipped[k]
@@ -416,13 +409,9 @@ def ref_sgd_step(params, grads, velocities, config, epoch):
 class TestFlatSgd:
     """`sgd_step` over whole `ParamStore` buffers gives the per-tensor bits."""
 
-    @pytest.mark.parametrize("clip_mode, grad_scale, clipped", [
-        ("global", 10.0, True),
-        ("global", 1e-3, False),
-        ("value", 10.0, True),
-    ])
-    def test_matches_per_tensor_reference_bitwise(self, clip_mode, grad_scale, clipped):
-        model, _, _ = build_tiny_model(clip_mode=clip_mode, momentum=0.9, decay_rate=0.95)
+    @pytest.mark.parametrize("grad_scale, clipped", [(10.0, True), (1e-3, False)])
+    def test_matches_per_tensor_reference_bitwise(self, grad_scale, clipped):
+        model, _, _ = build_tiny_model(momentum=0.9, decay_rate=0.95)
         cfg, params = model.config, model.params
         ref_params = {k: v.copy() for k, v in params.items()}
         vel = params.zeros_like()
@@ -431,10 +420,7 @@ class TestFlatSgd:
         for epoch in range(4):  # momentum carries over the steps
             grads = params.zeros_like()
             grads.flat[:] = rng.normal(size=grads.flat.size) * grad_scale
-            if clip_mode == "global":
-                assert (global_norm(grads) > cfg.clip_norm) == clipped
-            else:
-                assert (np.abs(grads.flat).max() > cfg.clip_norm) == clipped
+            assert (global_norm(grads) > cfg.clip_norm) == clipped
             ref_grads = {k: v.copy() for k, v in grads.items()}
             sgd_step(params, grads, vel, cfg, epoch)
             ref_sgd_step(ref_params, ref_grads, ref_vel, cfg, epoch)
@@ -588,9 +574,8 @@ class TestTagging:
         singles = [model.tag(s) for s in sents[:4]]
         assert batched == singles
 
-    @pytest.mark.parametrize("mask_decode", [True, False])
-    def test_ragged_batch_with_empty_and_one_token_sentences(self, mask_decode):
-        model, sents, _ = build_tiny_model(mask_decode=mask_decode)
+    def test_ragged_batch_with_empty_and_one_token_sentences(self):
+        model, sents, _ = build_tiny_model()
         rng = np.random.default_rng(6)
         # random scores, so the decoded paths are not all "O"
         model.params["trans"] = rng.normal(size=model.params["trans"].shape) * 2
@@ -651,8 +636,8 @@ class TestGazetteer:
         np.testing.assert_array_equal(feats[:, 1], [0, 1, 1, 1, 0])
 
     def test_max_n_filters_long_entries(self):
-        gaz = Gazetteer({"x": ["a b c d e"]}, max_n=4)
-        assert gaz.entries["x"] == set()
+        gaz = Gazetteer({"x": ["a b c d e", "a b c d"]})
+        assert gaz.entries["x"] == {("a", "b", "c", "d")}
 
     def test_no_match_is_all_zero(self):
         gaz = Gazetteer({"org": ["acme corp"]})
@@ -663,6 +648,10 @@ class TestGazetteer:
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
+
+# header fields that size a tensor of `build_tiny_model`'s feature set
+SIZE_FIELDS = {"word_dim", "word_hidden", "char_emb_dim", "char_hidden", "cap_emb_dim"}
+
 
 class TestCheckpoint:
     def train_briefly(self, tmp_path):
@@ -753,23 +742,61 @@ class TestCheckpoint:
         raw = path.read_bytes()
         (n,) = struct.unpack("<I", raw[5:9])
         header = json.loads(raw[9 : 9 + n])
+        assert list(header) == list(HEADER_KEYS)
         assert list(header["config"]) == [f.name for f in fields(TaggerConfig)]
         assert load_checkpoint(path, ls_table=ls).config == model.config
 
-    def test_huge_tensor_shape_is_truncation(self, tmp_path):
+    def test_version_1_is_refused(self, tmp_path):
         model, sents, ls = build_tiny_model()
         path = tmp_path / "model.lxnr"
         save_checkpoint(model, path)
+        raw = bytearray(path.read_bytes())
+        raw[4] = 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unsupported checkpoint version 1") as err:
+            load_checkpoint(path, ls_table=ls)
+        assert err.value.offset == 4
 
-        def huge(h):
-            h["params"][-1]["shape"] = [2**40, 2**20]
-            return h
+    @pytest.mark.parametrize("case", sorted(RESIZING_HEADER_EDITS))
+    def test_resizing_header_edit_is_format_error_without_allocating(self, tmp_path, case):
+        model, sents, ls = build_tiny_model()
+        path = tmp_path / "model.lxnr"
+        save_checkpoint(model, path)
+        path.write_bytes(edit_checkpoint_header(
+            path.read_bytes(), lambda h: resize_header(h, *RESIZING_HEADER_EDITS[case])))
+        expect = "trailing bytes" if case == "one_tag_fewer" else "truncated tensor"
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=expect):
+                load_checkpoint(path, ls_table=ls)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
-        bad = tmp_path / "huge.lxnr"
-        bad.write_bytes(edit_checkpoint_header(path.read_bytes(), huge))
-        with pytest.raises(FormatError, match="truncated tensor 'trans'") as err:
-            load_checkpoint(bad, ls_table=ls)
-        assert err.value.offset == bad.stat().st_size
+    @given(st.one_of(
+        st.tuples(st.sampled_from(["tags", "chars", "words"]), st.sampled_from(["extra", "fewer"]),
+                  st.integers(1, 3)),
+        st.tuples(st.sampled_from(["tags", "chars", "words"]), st.just("set"),
+                  st.lists(st.text(max_size=3), max_size=8)),
+        st.tuples(st.sampled_from(["word_dim"] + [f.name for f in fields(TaggerConfig)
+                                                  if type(f.default) is int]),
+                  st.just("set"), st.integers(-2, 40) | st.integers(2**30, 2**70)),
+    ))
+    @settings(max_examples=120, deadline=None)
+    def test_header_edits_only_raise_lexner_errors(self, tmp_path_factory, edit):
+        """Edits of the fields that fix the tensor layout, of any length."""
+        model, sents, ls = build_tiny_model()
+        path = tmp_path_factory.mktemp("edit") / "model.lxnr"
+        save_checkpoint(model, path)
+        path.write_bytes(edit_checkpoint_header(path.read_bytes(), lambda h: resize_header(h, *edit)))
+        key, how, arg = edit
+        huge = how == "set" and key in SIZE_FIELDS and arg >= 2**30
+        try:
+            load_checkpoint(path, ls_table=ls).tag_batch(sents[:2] + [Sentence.from_words(["é"])])
+        except LexnerError as exc:
+            assert not huge or (isinstance(exc, FormatError) and "truncated tensor" in str(exc))
+        else:
+            assert not huge
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -802,7 +829,7 @@ class TestCheckpoint:
         assert err.value.offset == end
 
     def test_gazetteer_round_trip(self, tmp_path):
-        gaz = Gazetteer({"metalish": ["iron rust", "gold"]}, max_n=3)
+        gaz = Gazetteer({"metalish": ["iron rust", "gold"]})
         model, sents, ls = build_tiny_model(
             features=("word_emb", "cap", "ls", "gazetteer"), gazetteer=gaz)
         path = tmp_path / "gaz.lxnr"

@@ -85,9 +85,34 @@ BAD_CHECKPOINT_HEADERS = {
     "missing_config_field": lambda h: {**h, "config": _without(h["config"], "seed")},
     "mistyped_config_value": lambda h: {**h, "config": {**h["config"], "word_hidden": "big"}},
     "mistyped_tags": lambda h: {**h, "tags": "O"},
-    "mistyped_param_shape": lambda h: {**h, "params": [{"name": "trans", "shape": "2x2"}]},
-    "renamed_param": lambda h: {**h, "params": [{**s, "name": s["name"].replace("proj_b", "proj_c")}
-                                                for s in h["params"]]},
-    "zero_dimension_shape": lambda h: {**h, "params": [{**s, "shape": [0, 2**62]} if s["name"] == "trans"
-                                                       else s for s in h["params"]]},
+    "fractional_config_int": lambda h: {**h, "config": {**h["config"], "word_hidden": 2.5}},
+    "missing_word_dim": lambda h: _without(h, "word_dim"),
+    "mistyped_word_dim": lambda h: {**h, "word_dim": "6"},
+    "negative_word_dim": lambda h: {**h, "word_dim": -1},
+    "mistyped_gazetteer": lambda h: {**h, "gazetteer": {"metals": "iron"}},
+}
+
+
+def resize_header(header: dict, key: str, how: str, arg) -> dict:
+    """Edit a header list or int field, in the header or its config:
+    "extra" appends `arg` new items, "fewer" drops the last `arg` items and
+    "set" replaces the value with `arg`."""
+    target = header["config"] if key in header["config"] else header
+    if how == "extra":
+        target[key] = target[key] + [f"extra{i}" for i in range(arg)]
+    elif how == "fewer":
+        target[key] = target[key][:-arg]
+    else:
+        target[key] = arg
+    return header
+
+
+# name -> (key, how, arg) header edit of a consistent length that changes the
+# tensor layout the header implies; loading must end in a LexnerError
+RESIZING_HEADER_EDITS = {
+    "one_more_tag": ("tags", "extra", 1),
+    "one_tag_fewer": ("tags", "fewer", 1),
+    "two_more_chars": ("chars", "extra", 2),
+    "one_more_word": ("words", "extra", 1),
+    "huge_word_hidden": ("word_hidden", "set", 2**40),
 }
