@@ -21,13 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
+    _column_sentences,
     Sentence,
     TagScheme,
     TypeInventory,
     build_dual_corpus,
     convert_scheme,
     format_column,
-    iter_column_sentences,
     load_column_file,
     mentions_to_tags,
     read_lines,
@@ -173,23 +173,6 @@ def _check_output_dir(path: str) -> None:
 # Shared input handling
 # ---------------------------------------------------------------------------
 
-def _sentence_blocks(lines):
-    """Yield (first line number, block lines) per sentence."""
-    block: list[str] = []
-    start = 0
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if stripped and stripped.split()[0] != "-DOCSTART-":
-            if not block:
-                start = lineno
-            block.append(raw)
-        elif block:
-            yield start, block
-            block = []
-    if block:
-        yield start, block
-
-
 def _load_tagged(path: str, scheme: TagScheme) -> list[Sentence]:
     sentences = load_column_file(path)
     if scheme is TagScheme.BILOU:
@@ -237,11 +220,10 @@ def cmd_prepare_dual(args) -> int:
     n = 0
     lines = read_text(args.input).split("\n")
     with open(args.output, "w", encoding="utf-8") as out:
-        for start, block in _sentence_blocks(lines):
+        for start, s in _column_sentences(lines):
             try:
-                s = next(iter_column_sentences(block))
                 mentions = tags_to_mentions(s.tags, scheme, strict=True)
-                plain = Sentence.from_words(s.words, mentions=mentions)
+                plain = Sentence(s.tokens, mentions=mentions)
                 for line in build_dual_corpus([plain], inventory):
                     out.write(line + "\n")
             except DataError as e:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -25,7 +26,8 @@ class Token:
     surface: str
 
     def __post_init__(self):
-        if not self.surface or any(c.isspace() for c in self.surface):
+        # str.split breaks at exactly the characters str.isspace accepts
+        if self.surface.split() != [self.surface]:
             raise DataError(f"invalid token surface: {self.surface!r}")
 
     @property
@@ -34,6 +36,17 @@ class Token:
 
     def __str__(self) -> str:
         return self.surface
+
+
+def _trusted_tokens(words: Iterable[str]) -> list[Token]:
+    """Tokens of surfaces already known to be valid, built without `Token`'s
+    per-token check."""
+    tokens = []
+    for w in words:
+        t = object.__new__(Token)
+        object.__setattr__(t, "surface", w)  # as the frozen __init__ does
+        tokens.append(t)
+    return tokens
 
 
 @dataclass(frozen=True, order=True)
@@ -88,8 +101,13 @@ class Sentence:
         mentions: Sequence[Mention] | None = None,
         doc_index: int = 0,
     ) -> "Sentence":
+        words = list(words)
+        if " ".join(words).split() == words:  # no word is empty or holds whitespace
+            tokens = _trusted_tokens(words)
+        else:
+            tokens = [Token(w) for w in words]  # raises at the first bad surface
         return cls(
-            tokens=[Token(w) for w in words],
+            tokens=tokens,
             tags=list(tags) if tags is not None else None,
             mentions=list(mentions) if mentions is not None else None,
             doc_index=doc_index,
@@ -195,6 +213,41 @@ def read_lines(path: str | Path) -> list[str]:
     return text.removesuffix("\n").split("\n") if text else []
 
 
+def _column_sentences(
+    lines: Iterable[str], require_tags: bool = True
+) -> Iterator[tuple[int, Sentence]]:
+    """(line number of its first token, sentence) per sentence of column lines."""
+    words: list[str] = []
+    tags: list[str] = []
+    doc = 0
+    started = False
+    first = 0
+    # a blank line after the last one ends the last sentence
+    for lineno, raw in enumerate(chain(lines, ("",)), start=1):
+        fields = raw.split()
+        if fields and fields[0] != DOCSTART:
+            if not words:
+                first = lineno
+            words.append(fields[0])
+            if len(fields) > 1:
+                tags.append(fields[-1])
+            elif require_tags:
+                line = raw.rstrip("\n").rstrip("\r")
+                raise ParseError(f"missing tag column in {line!r}", lineno)
+            else:
+                tags.append("O")
+            started = True
+            continue
+        if words:
+            # split fields are non-empty and hold no whitespace
+            yield first, Sentence(_trusted_tokens(words), tags=tags, doc_index=doc)
+            words, tags = [], []
+        if fields:  # -DOCSTART-
+            if started:
+                doc += 1
+            started = True
+
+
 def iter_column_sentences(
     lines: Iterable[str], require_tags: bool = True
 ) -> Iterator[Sentence]:
@@ -204,47 +257,7 @@ def iter_column_sentences(
     field is the tag); a blank line ends a sentence; a line whose first field
     is "-DOCSTART-" starts a new document group and is not itself emitted.
     """
-    words: list[str] = []
-    tags: list[str] = []
-    doc = 0
-    started = False
-
-    def flush() -> Sentence | None:
-        nonlocal words, tags
-        if not words:
-            return None
-        s = Sentence.from_words(words, tags, doc_index=doc)
-        words, tags = [], []
-        return s
-
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            s = flush()
-            if s is not None:
-                yield s
-            continue
-        fields = line.split()
-        if fields[0] == DOCSTART:
-            s = flush()
-            if s is not None:
-                yield s
-            if started:
-                doc += 1
-            started = True
-            continue
-        started = True
-        if len(fields) < 2:
-            if require_tags:
-                raise ParseError(f"missing tag column in {line!r}", lineno)
-            words.append(fields[0])
-            tags.append("O")
-            continue
-        words.append(fields[0])
-        tags.append(fields[-1])
-    s = flush()
-    if s is not None:
-        yield s
+    return (s for _, s in _column_sentences(lines, require_tags))
 
 
 def parse_column_text(text: str, require_tags: bool = True) -> list[Sentence]:

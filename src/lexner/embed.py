@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -25,6 +26,7 @@ FNV_PRIME = 0x01000193
 SUBWORD_MAGIC = b"SUBV"
 SUBWORD_VERSION = 1
 _SUBWORD_FIELDS = "BBIIQ"  # n-gram min and max, bucket count, dim, seed
+_SPACE = re.compile(rb"\s*")  # the bytes that bytes.split separates at
 
 
 def is_type_token(word: str) -> bool:
@@ -171,10 +173,10 @@ class EmbedConfig:
             raise DataError(f"bad n-gram range [{self.ngram_min}, {self.ngram_max}]")
         if self.bucket_count <= 0:
             raise DataError("bucket_count must be positive")
-        if self.learning_rate <= 0:
-            raise DataError("learning_rate must be positive")
-        if self.subsample_threshold < 0:
-            raise DataError("subsample_threshold must be non-negative")
+        if not 0 < self.learning_rate < math.inf:
+            raise DataError("learning_rate must be positive and finite")
+        if not 0 <= self.subsample_threshold < math.inf:
+            raise DataError("subsample_threshold must be non-negative and finite")
 
 
 class EmbeddingTable:
@@ -548,7 +550,9 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     section), plain headered text (word2vec style), and headerless text
     (one "word v1 .. v_dim" row per line) as produced by some third-party
     pretrained-embedding releases. A headerless file's rows run to its end,
-    where blank lines may trail; a blank line before a row is a bad row.
+    where blank lines may trail; a blank line before a row is a bad row. In
+    either layout, only whitespace after the rows means no subword section;
+    a loaded subword matrix is a read-only view of the file's bytes.
     """
     data = Path(path).read_bytes()
     with io.BytesIO(data) as fh:
@@ -575,7 +579,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             raise FormatError(f"truncated embedding file: row {len(rows)} missing", end)
         vectors = _finite_rows(rows, offsets)
         r = binfile.Reader(data, fh.tell())
-    if not headered or r.at == len(data):
+    if _SPACE.fullmatch(data, r.at):  # whitespace after the rows: no subword section
         return EmbeddingTable(words, vectors)
     section = r.at
     nmin, nmax, nbuckets, sdim, seed = r.header(
@@ -584,6 +588,6 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         raise FormatError(
             f"bad subword header: dim {sdim} for vectors of dim {dim}, {nbuckets} buckets, "
             f"n-grams [{nmin}, {nmax}]", section)
-    buckets = r.floats(nbuckets * dim, "subword bucket data").reshape(nbuckets, dim).copy()
+    buckets = r.floats(nbuckets * dim, "subword bucket data").reshape(nbuckets, dim)
     r.end("subword bucket data")
     return EmbeddingTable(words, vectors, buckets, ngram_min=nmin, ngram_max=nmax, seed=seed)

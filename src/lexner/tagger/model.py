@@ -87,8 +87,8 @@ class TaggerConfig:
             raise DataError("dropout_prob must be in [0, 1)")
         if not (0.0 < self.decay_rate <= 1.0):
             raise DataError("decay_rate must be in (0, 1]")
-        if self.learning_rate <= 0 or self.clip_norm <= 0:
-            raise DataError("learning_rate and clip_norm must be positive")
+        if not (0 < self.learning_rate < math.inf and 0 < self.clip_norm < math.inf):
+            raise DataError("learning_rate and clip_norm must be positive and finite")
         if not (0.0 <= self.momentum < 1.0):
             raise DataError("momentum must be in [0, 1)")
 

@@ -176,6 +176,22 @@ class TestPrepareDual:
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        # a sentence after a document start and a run of blank lines
+        ("-DOCSTART- O\n\nthe O\n\n\n\n-DOCSTART- O\n\nfox O\niron I-/animal\n",
+         "sentence starting at line 9: position 1: orphan I-/animal"),
+        ("the O\n\nfox U-/animal\n\n\nthe O\nred\n", "line 7: missing tag column in 'red'"),
+    ])
+    def test_errors_give_absolute_line_numbers(self, tmp_path, capsys, text, message):
+        src = tmp_path / "in.txt"
+        src.write_text(text)
+        inv = tmp_path / "types.txt"
+        inv.write_text("/animal\n")
+        rc = main(["prepare-dual", "--input", str(src), "--inventory", str(inv),
+                   "--output", str(tmp_path / "dual.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"lexner: {message}\n"
+
 
 # ---------------------------------------------------------------------------
 # The composed pipeline on a generated corpus
@@ -605,6 +621,15 @@ class TestExitCodes:
         assert main(["train-embed", "--input", str(src), "--output", str(tmp_path / "v.vec"),
                      "--set", "embed.min_count=1", "--set", "embed.subsample_threshold=0"]) == 2
         assert "negative sampling needs at least two" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["tagger.clip_norm", "tagger.learning_rate",
+                                     "embed.learning_rate", "embed.subsample_threshold"])
+    def test_non_finite_setting(self, tmp_path, capsys, key):
+        src = tmp_path / "in.txt"
+        src.write_text("a b\n")
+        assert main(["train-embed", "--input", str(src), "--output", str(tmp_path / "v.vec"),
+                     "--set", f"{key}=nan"]) == 2
+        assert "must be" in capsys.readouterr().err and not (tmp_path / "v.vec").exists()
 
     def test_zero_dimension_vector_file(self, tmp_path, capsys):
         vec = tmp_path / "zero.vec"

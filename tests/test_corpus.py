@@ -22,6 +22,8 @@ from lexner.corpus import (
 )
 from lexner.errors import DataError, FormatError, LexnerError, ParseError, SchemeError
 
+from column_reference import reference_column_sentences
+
 SAMPLE = """\
 EU B-ORG
 rejects O
@@ -175,6 +177,62 @@ class TestReadText:
             load_column_file(p)
         except LexnerError:
             pass
+
+
+# whitespace that str.split breaks at, beyond the ASCII set
+WHITESPACE = [" ", "\t", "\x85", "\x1c", "\u2028", "\u3000"]
+# lines as a file handle or a split text gives them; "\r\n", "\r" and "\n"
+# may end a line or sit inside it
+COLUMN_LINES = st.lists(
+    st.lists(st.sampled_from(["a", "東", "O", "B-X", "-DOCSTART-", "\r\n", "\r", "\n",
+                              *WHITESPACE]), max_size=6).map("".join),
+    max_size=12)
+
+
+def _reader_outcome(read, lines, require_tags):
+    try:
+        return list(read(lines, require_tags))
+    except LexnerError as e:
+        return type(e), str(e)
+
+
+class TestColumnReaderOracle:
+    @pytest.mark.parametrize("require_tags", [True, False])
+    @given(lines=COLUMN_LINES)
+    @settings(max_examples=400, deadline=None)
+    def test_lines_read_as_the_per_line_reader_did(self, require_tags, lines):
+        assert (_reader_outcome(iter_column_sentences, lines, require_tags)
+                == _reader_outcome(reference_column_sentences, lines, require_tags))
+
+    @pytest.mark.parametrize("require_tags", [True, False])
+    @given(lines=COLUMN_LINES)
+    @settings(max_examples=200, deadline=None)
+    def test_text_reads_as_the_per_line_reader_did(self, require_tags, lines):
+        text = "".join(lines)
+        split = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        assert (_reader_outcome(parse_column_text, text, require_tags)
+                == _reader_outcome(reference_column_sentences, split, require_tags))
+
+    @pytest.mark.parametrize("word", ["", *(f"a{c}b" for c in [*WHITESPACE, "\r", "\n"])])
+    def test_from_words_raises_as_token_does(self, word):
+        with pytest.raises(DataError) as expected:
+            Token(word)
+        with pytest.raises(DataError) as got:
+            Sentence.from_words(["ok", word, "x y"])
+        assert str(got.value) == str(expected.value)
+
+    @given(st.lists(st.text(st.sampled_from(["a", "東", "\r", "\n", *WHITESPACE]), max_size=3),
+                    max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_from_words_builds_what_token_builds(self, words):
+        def outcome(build):
+            try:
+                return build()
+            except DataError as e:
+                return str(e)
+
+        assert (outcome(lambda: Sentence.from_words(words).tokens)
+                == outcome(lambda: [Token(w) for w in words]))
 
 
 class TestSchemes:

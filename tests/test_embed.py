@@ -187,6 +187,10 @@ class TestConfig:
         {"learning_rate": 0.0},
         {"subsample_threshold": -1.0},
         {"epochs": 0},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"subsample_threshold": float("nan")},
+        {"subsample_threshold": float("inf")},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(DataError):
@@ -567,6 +571,15 @@ class TestPersistence:
         assert table.words == ["a"]
         np.testing.assert_array_equal(table.vectors, [[1, 2]])
 
+    @pytest.mark.parametrize("head", ["2 2\n", ""])  # headered, headerless
+    @pytest.mark.parametrize("tail", ["\n", "\n\n", " \t\r\n\x0b\x0c"])
+    def test_whitespace_after_the_rows_is_no_subword_section(self, tmp_path, head, tail):
+        p = tmp_path / "vec.txt"
+        p.write_text(f"{head}a 1 2\nb 3 4\n{tail}", encoding="utf-8")
+        table = load_embeddings(p)
+        assert table.words == ["a", "b"] and table.bucket_vectors is None
+        np.testing.assert_array_equal(table.vectors, [[1, 2], [3, 4]])
+
     @pytest.mark.parametrize("text, offset", [
         ("a 1 2\n\nb 3 4\n", 6),           # headerless: once stopped at the blank line
         ("2 2\na 1 2\n\nb 3 4\n", 10),     # headered
@@ -677,13 +690,31 @@ class TestSubwordSection:
 
     def test_non_finite_bucket_value_rejected_at_its_offset(self, tmp_path):
         p = tmp_path / "vec.bin"
-        raw, at = subword_file(p)
-        value = at + 23 + 4 * 17
-        raw[value : value + 4] = np.float32(np.inf).tobytes()
-        p.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="subword bucket data has a non-finite value") as err:
-            load_embeddings(p)
-        assert err.value.offset == value
+        for k, bad in ((17, np.inf), (30, np.nan)):
+            raw, at = subword_file(p)
+            value = at + 23 + 4 * k
+            raw[value : value + 4] = np.float32(bad).tobytes()
+            p.write_bytes(bytes(raw))
+            with pytest.raises(FormatError, match="subword bucket data has a non-finite value") as err:
+                load_embeddings(p)
+            assert err.value.offset == value
+
+    def test_loaded_matrix_is_a_read_only_view(self, tmp_path):
+        p = tmp_path / "vec.bin"
+        subword_file(p)
+        buckets = load_embeddings(p).bucket_vectors
+        assert buckets.shape == (31, 4) and buckets.dtype == np.float32
+        assert not buckets.flags.owndata and not buckets.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            buckets[0, 0] = 1.0
+
+    def test_reloaded_word_vectors_are_bitwise_equal(self, tmp_path):
+        table = train_skipgram(tiny_corpus(), small_config())
+        p = tmp_path / "vec.bin"
+        save_embeddings(table, p)
+        queries = table.words + ["aaas", "AAA", "zzzqqq", "/nothere", ""]
+        assert load_embeddings(p).word_vectors(queries).tobytes() == \
+            table.word_vectors(queries).tobytes()
 
     def test_trailing_bytes_rejected(self, tmp_path):
         p = tmp_path / "vec.bin"

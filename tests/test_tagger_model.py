@@ -144,6 +144,12 @@ class TestAssembly:
         with pytest.raises(DataError):
             tiny_config(features=("word_emb", "word_emb"))
 
+    @pytest.mark.parametrize("name", ["learning_rate", "clip_norm"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_config_rejects_non_finite_floats(self, name, value):
+        with pytest.raises(DataError, match="must be positive and finite"):
+            TaggerConfig(**{name: value})
+
     @pytest.mark.parametrize("feature, message", [
         ("ls", "config enables the ls block but no LS table was given"),
         ("gazetteer", "config enables the gazetteer block but none was given"),
