@@ -13,10 +13,11 @@ import numpy as np
 from ..errors import DataError
 
 
-def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    hi = np.max(a, axis=axis, keepdims=True)
+def logsumexp(a: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    hi = a.max(axis=axis, keepdims=True)
     hi = np.where(np.isfinite(hi), hi, 0.0)
-    out = np.log(np.sum(np.exp(a - hi), axis=axis)) + np.squeeze(hi, axis=axis)
+    out = np.log(np.exp(a - hi).sum(axis=axis), out=out)
+    out += hi.squeeze(axis)
     return out
 
 
@@ -89,6 +90,11 @@ def viterbi_decode(
     return paths[0], float(score[0])
 
 
+def _every_sequence_active(lengths: np.ndarray, T: int) -> list[bool]:
+    """Per step of a (T, B) batch, whether every sequence is still running."""
+    return (np.arange(T) < lengths.min(initial=T)).tolist()
+
+
 def crf_forward_batched(
     emissions: np.ndarray, lengths: np.ndarray, transitions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,17 +107,16 @@ def crf_forward_batched(
     """
     T, B, L = emissions.shape
     start, stop = L, L + 1
-    alphas = np.zeros((T, B, L))
+    alphas = np.empty((T, B, L))
     lse = np.zeros((T, B, L))
-    alpha = transitions[start, :L][None, :] + emissions[0]
-    alphas[0] = alpha
-    for t in range(1, T):
-        active = (t < lengths)[:, None]
-        lse[t] = logsumexp(alpha[:, :, None] + transitions[None, :L, :L], axis=1)
-        nxt = lse[t] + emissions[t]
-        alpha = nxt if active.all() else np.where(active, nxt, alpha)
-        alphas[t] = alpha
-    logz = logsumexp(alpha + transitions[:L, stop][None, :], axis=1)
+    np.add(transitions[start, :L], emissions[0], out=alphas[0])
+    pair = transitions[None, :L, :L]
+    for t, full in enumerate(_every_sequence_active(lengths, T)[1:], start=1):
+        logsumexp(alphas[t - 1][:, :, None] + pair, axis=1, out=lse[t])
+        np.add(lse[t], emissions[t], out=alphas[t])
+        if not full:  # ended sequences keep their last alpha
+            np.copyto(alphas[t], alphas[t - 1], where=(t >= lengths)[:, None])
+    logz = logsumexp(alphas[T - 1] + transitions[:L, stop][None, :], axis=1)
     return logz, alphas, lse
 
 
@@ -159,13 +164,16 @@ def crf_nll_and_grad(
     w = np.exp(final - logz[:, None])  # softmax over tags
     dalpha = w
     dtrans[:L, stop] += w.sum(axis=0)
+    # every step's normalised pair scores (T - 1, B, from, to) in one pass
+    pairs = alphas[:-1, :, :, None] + transitions[None, None, :L, :L]
+    pairs -= lse[1:, :, None, :]
+    np.exp(pairs, out=pairs)
+    every = _every_sequence_active(lengths, T)
     for t in range(T - 1, 0, -1):
-        active = (t < lengths)[:, None]
-        full = bool(active.all())  # then every masking below is the identity
+        full = every[t]  # then every masking below is the identity
+        active = None if full else (t < lengths)[:, None]
         dem[t] = dalpha if full else np.where(active, dalpha, 0.0)
-        m = alphas[t - 1][:, :, None] + transitions[None, :L, :L]
-        m = np.exp(m - lse[t][:, None, :])
-        dm = m * dalpha[:, None, :]
+        dm = np.multiply(pairs[t - 1], dalpha[:, None, :], out=pairs[t - 1])
         if not full:
             dm = np.where(active[:, :, None], dm, 0.0)
         dtrans[:L, :L] += dm.sum(axis=0)
@@ -174,14 +182,13 @@ def crf_nll_and_grad(
     dem[0] = dalpha
     dtrans[start, :L] += dalpha.sum(axis=0)
 
-    # minus the gold path: one-hot emissions and transition counts
-    b_idx = np.arange(B)
-    np.subtract.at(dem, (t_idx.repeat(B, 1)[real], b_idx[None, :].repeat(T, 0)[real], gold[real]), 1.0)
-    np.subtract.at(dtrans, (np.full(B, start), gold[0]), 1.0)
-    np.subtract.at(dtrans, (last, np.full(B, stop)), 1.0)
-    if T > 1:
-        np.subtract.at(
-            dtrans, (pairs_from[pair_real], pairs_to[pair_real]), 1.0)
+    # minus the gold path: one-hot emissions (each position once) and
+    # transition counts
+    dem[(*np.nonzero(real), gold[real])] -= 1.0
+    # the three groups of moves touch disjoint cells, so one call subtracts
+    # each cell's ones in the order separate calls would
+    np.subtract.at(dtrans, (np.concatenate((np.full(B, start), last, pairs_from[pair_real])),
+                            np.concatenate((gold[0], np.full(B, stop), pairs_to[pair_real]))), 1.0)
     return nll, dem, dtrans
 
 

@@ -27,6 +27,7 @@ def gradient_check(
     corrupt: str | None = None,
 ) -> dict[str, float]:
     """Max relative error per parameter block on one batch."""
+    batch = model.encode(batch, gold=True)
     _, grads = model.nll_and_gradients(batch, train=False, corrupt=corrupt)
 
     def loss() -> float:

@@ -37,16 +37,19 @@ shared table x (N, D); without `rows`, x is (S, T, B, D). Outputs and
 gradients carry S in front; inside, per-step arrays are (T, S, B, .) so
 each step's slice is contiguous.
 
-Each forward step writes its states straight into the cache arrays. On a
-step where every sequence is still running, both passes skip the carry
-selection, which would pick the fresh values everywhere.
+Each forward step writes its states straight into buffers of T + 1 rows
+whose row 0 is the zero initial state, so the state entering step t is row
+t of the same buffer. On a step where every sequence is still running, both
+passes skip the carry selection, which would pick the fresh values
+everywhere.
 
 The forward cache is a dict: "x" the rows projected and "rows" ([S,] T, B)
 the index into them, or None when "x" holds the positions ([S,] T, B, D)
 themselves, "real" (T, B, 1) bool, "h" and "c" (T, [S,] B, H) holding the
-carried states after each step, "gates" (T, [S,] B, 4H) holding the
-activated i/f/g/o and "tanh_c" (T, [S,] B, H) holding tanh of the
-candidate cell state.
+carried states after each step, "h_prev" and "c_prev" the states entering
+each step (views of the same buffers, one row earlier), "gates"
+(T, [S,] B, 4H) holding the activated i/f/g/o and "tanh_c" (T, [S,] B, H)
+holding tanh of the candidate cell state.
 """
 from __future__ import annotations
 
@@ -110,9 +113,10 @@ def lstm_forward(
     a_x = a_rows.reshape(-1, 4 * H).take(at, axis=0)  # (T, *stack, B, 4H)
     pad = ~real
     full = real.all(axis=(1, 2)).tolist()  # steps where every sequence is running
-    h = np.zeros((*stack, B, H))
-    c = np.zeros((*stack, B, H))
-    h_seq, c_seq, tanh_c = (np.empty((T, *stack, B, H)) for _ in range(3))
+    h_buf, c_buf = (np.empty((T + 1, *stack, B, H)) for _ in range(2))
+    h, c = h_buf[0], c_buf[0]
+    h[...] = c[...] = 0.0  # the initial state
+    tanh_c = np.empty((T, *stack, B, H))
     gates = np.empty((T, *stack, B, 4 * H))
     for t in range(T):
         a = h @ wh
@@ -120,29 +124,22 @@ def lstm_forward(
         act = _sigmoid(a, out=gates[t])
         i, f, g, o = act[..., :H], act[..., H : 2 * H], act[..., 2 * H : 3 * H], act[..., 3 * H :]
         np.tanh(a[..., 2 * H : 3 * H], out=g)
-        c_t = np.multiply(f, c, out=c_seq[t])
+        c_t = np.multiply(f, c, out=c_buf[t + 1])
         c_t += i * g
         np.tanh(c_t, out=tanh_c[t])
-        h_t = np.multiply(o, tanh_c[t], out=h_seq[t])
+        h_t = np.multiply(o, tanh_c[t], out=h_buf[t + 1])
         if not full[t]:  # ended sequences carry their states
             np.copyto(h_t, h, where=pad[t])
             np.copyto(c_t, c, where=pad[t])
         h, c = h_t, c_t
-    cache = {"x": x, "rows": rows, "real": real, "h": h_seq, "c": c_seq, "gates": gates,
-             "tanh_c": tanh_c}
-    return _swap_time(h_seq), h, c, cache
+    cache = {"x": x, "rows": rows, "real": real, "h": h_buf[1:], "c": c_buf[1:],
+             "h_prev": h_buf[:-1], "c_prev": c_buf[:-1], "gates": gates, "tanh_c": tanh_c}
+    return _swap_time(h_buf[1:]), h, c, cache
 
 
 def _swap_time(a: np.ndarray) -> np.ndarray:
     """View of a (S, T, B, K) array as (T, S, B, K) and back; (T, B, K) as is."""
     return np.swapaxes(a, 0, -3)
-
-
-def _shift_in_zero(seq: np.ndarray) -> np.ndarray:
-    """seq[t - 1] at position t, zeros at t = 0: the state entering each step."""
-    prev = np.zeros_like(seq)
-    prev[1:] = seq[:-1]
-    return prev
 
 
 def lstm_backward(
@@ -164,18 +161,17 @@ def lstm_backward(
     T, *stack, B, _ = gates.shape
     D = x.shape[-1]
     H = wh.shape[-2]
-    h_prev = _shift_in_zero(cache["h"])
-    c_prev = _shift_in_zero(cache["c"])
     i, f, g, o = (gates[..., k * H : (k + 1) * H] for k in range(4))
     # Per-step factors that do not depend on the incoming gradient. Step t's
     # pre-activation gradient is [dc*i', dc*f', dc*g', dh*o'] times these.
     do_dc = o * (1.0 - tanh_c ** 2)
-    local = np.empty_like(gates)
-    local[..., :H] = g * (i * (1.0 - i))
-    local[..., H : 2 * H] = c_prev * (f * (1.0 - f))
-    local[..., 2 * H : 3 * H] = i * (1.0 - g ** 2)
-    local[..., 3 * H :] = tanh_c * (o * (1.0 - o))
+    local = np.subtract(1.0, gates)
+    local *= gates  # the sigmoid slope s * (1 - s); the candidate's is replaced below
     local = local.reshape(T, *stack, B, 4, H)
+    local[..., 0, :] *= g
+    local[..., 1, :] *= cache["c_prev"]
+    local[..., 2, :] = i * (1.0 - g ** 2)
+    local[..., 3, :] *= tanh_c
 
     dh_seq = None if dh_seq is None else _swap_time(dh_seq)
     pad = ~real
@@ -205,7 +201,7 @@ def lstm_backward(
         dc, dh = dc_t, dh_t
 
     da = _swap_time(da.reshape(T, *stack, B, 4 * H)).reshape(*stack, T * B, 4 * H)
-    h_prev = _swap_time(h_prev).reshape(*stack, T * B, H)
+    h_prev = _swap_time(cache["h_prev"]).reshape(*stack, T * B, H)
     x_at = x if rows is None else x.take(rows, axis=0)  # the input at each position
     grads = {
         "wx": np.swapaxes(x_at.reshape(*stack, T * B, D), -1, -2) @ da,
@@ -223,8 +219,5 @@ def padded_reversal(lengths: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray
 
     Padding stays in place, so applying it twice is the identity.
     """
-    B = len(lengths)
-    t_idx = np.arange(T)[:, None].repeat(B, axis=1)
-    real = t_idx < lengths[None, :]
-    t_idx = np.where(real, lengths[None, :] - 1 - t_idx, t_idx)
-    return t_idx, np.arange(B)[None, :]
+    t = np.arange(T)[:, None]
+    return np.where(t < lengths, lengths - 1 - t, t), np.arange(len(lengths))[None, :]

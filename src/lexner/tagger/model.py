@@ -8,7 +8,10 @@ training.
 Feature blocks are concatenated in a fixed order (word embedding, char
 BiLSTM representation, capitalization embedding, LS vector, gazetteer
 bits); disabled blocks are simply omitted and every downstream dimension
-shrinks to match.
+shrinks to match. Sentences reach the network through `TaggerModel.encode`,
+which looks up each distinct surface of a data set once; a training batch
+is a selection of encoded sentences, and every tagging request is encoded
+on its own.
 
 Parameters live in a `ParamStore`: named tensors that are views into one
 contiguous float64 buffer. Names iterate in `TaggerModel.shapes` order,
@@ -33,7 +36,7 @@ import numpy as np
 from .. import binfile
 from ..corpus import Sentence, capitalization_class
 from ..embed import EmbeddingTable
-from ..errors import DataError, FormatError
+from ..errors import POSITIVE, POSITIVE_FINITE, UNIT, DataError, FormatError, check_ranges
 from ..lexsim import LSTable
 from .crf import (
     bilou_allowed_transitions,
@@ -79,31 +82,32 @@ class TaggerConfig:
             raise DataError("duplicate feature blocks")
         if not self.features:
             raise DataError("at least one feature block is required")
-        for name in ("word_hidden", "char_emb_dim", "char_hidden", "cap_emb_dim",
-                     "batch_size", "max_epochs", "patience"):
-            if getattr(self, name) <= 0:
-                raise DataError(f"{name} must be positive")
-        if not (0.0 <= self.dropout_prob < 1.0):
-            raise DataError("dropout_prob must be in [0, 1)")
-        if not (0.0 < self.decay_rate <= 1.0):
-            raise DataError("decay_rate must be in (0, 1]")
-        if not (0 < self.learning_rate < math.inf and 0 < self.clip_norm < math.inf):
-            raise DataError("learning_rate and clip_norm must be positive and finite")
-        if not (0.0 <= self.momentum < 1.0):
-            raise DataError("momentum must be in [0, 1)")
+        check_ranges(self, _TAGGER_RANGES)
 
     def uses(self, feature: str) -> bool:
         return feature in self.features
+
+
+_TAGGER_RANGES = {
+    **dict.fromkeys(("word_hidden", "char_emb_dim", "char_hidden", "cap_emb_dim", "batch_size",
+                     "max_epochs", "patience"), POSITIVE),
+    "dropout_prob": UNIT,
+    "learning_rate": POSITIVE_FINITE,
+    "momentum": UNIT,
+    "clip_norm": POSITIVE_FINITE,
+    "decay_rate": (lambda v: 0 < v <= 1, "in (0, 1]"),
+}
 
 
 @lru_cache(maxsize=16)
 def _layout(shapes: tuple[tuple[str, tuple[int, ...]], ...]) -> tuple[dict, int, dict]:
     """Where each tensor of a `ParamStore` sits in its flat buffer.
 
-    Returns (offset by name, buffer size, stacked pairs by prefix, each
-    {short name: (offset, (2, *shape))}). Every `{prefix}_fwd.{k}` tensor
-    must have a `{prefix}_bwd.{k}` twin of its shape, placed right after it.
-    Cached: every store of the same shapes shares the result, read only.
+    Returns (slice of the buffer by name, in `shapes` order; buffer size;
+    stacked pairs by prefix, each {short name: (offset, (2, *shape))}).
+    Every `{prefix}_fwd.{k}` tensor must have a `{prefix}_bwd.{k}` twin of
+    its shape, placed right after it. Cached: every store of the same
+    shapes shares the result, read only.
     """
     shape_of = dict(shapes)
     offsets: dict[str, int] = {}
@@ -123,7 +127,8 @@ def _layout(shapes: tuple[tuple[str, tuple[int, ...]], ...]) -> tuple[dict, int,
         for g in group:
             offsets[g] = at
             at += math.prod(shape_of[g])
-    return offsets, at, pairs
+    spans = {name: slice(offsets[name], offsets[name] + math.prod(shape)) for name, shape in shapes}
+    return spans, at, pairs
 
 
 class ParamStore(Mapping):
@@ -131,16 +136,17 @@ class ParamStore(Mapping):
 
     Names iterate in the order of `shapes`. In `flat`, each `{p}_fwd.{k}`
     tensor is followed directly by its `{p}_bwd.{k}` twin, and `stacked`
-    exposes the pair as one (2, ...) view. Assigning to a name copies the
-    values into that tensor's view, so `flat` stays the home of every tensor.
+    exposes the pair as one (2, ...) view, and `spans` gives each tensor's
+    slice of `flat` in name order (shared by every store of the layout, read
+    only). Assigning to a name copies the values into that tensor's view, so
+    `flat` stays the home of every tensor.
     """
 
     def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
         self.shapes = {k: tuple(v) for k, v in shapes.items()}
-        offsets, size, self._pairs = _layout(tuple(self.shapes.items()))
+        self.spans, size, self._pairs = _layout(tuple(self.shapes.items()))
         self.flat = np.zeros(size)
-        self._views = {k: self.flat[offsets[k] : offsets[k] + math.prod(shape)].reshape(shape)
-                       for k, shape in self.shapes.items()}
+        self._views = {k: self.flat[span].reshape(self.shapes[k]) for k, span in self.spans.items()}
         self._stacked: dict[str, dict[str, np.ndarray]] = {}
 
     @classmethod
@@ -184,17 +190,74 @@ class ParamStore(Mapping):
 _TAG_CHUNK_POSITIONS = 4096
 
 
-def _runs(batch: list[Sentence], limit: int) -> Iterator[list[Sentence]]:
-    """Consecutive runs of `batch` of at most `limit` padded positions each;
-    a sentence longer than `limit` is a run of its own."""
+def _runs(lengths: Sequence[int], limit: int) -> Iterator[slice]:
+    """Consecutive runs of sentences of these lengths, of at most `limit`
+    padded positions each; a sentence longer than `limit` is a run of its own."""
     start, longest = 0, 0
-    for i, s in enumerate(batch):
-        longest = max(longest, len(s))
+    for i, n in enumerate(lengths):
+        longest = max(longest, n)
         if (i + 1 - start) * longest > limit and i > start:
-            yield batch[start:i]
-            start, longest = i, len(s)
-    if start < len(batch):
-        yield batch[start:]
+            yield slice(start, i)
+            start, longest = i, n
+    if start < len(lengths):
+        yield slice(start, len(lengths))
+
+
+@dataclass(frozen=True)
+class Encoded:
+    """Sentences as rows of a table of their distinct surfaces; see
+    `TaggerModel.encode`.
+
+    Per-token arrays list the tokens sentence by sentence; sentence k holds
+    tokens `bounds[k]` to `bounds[k + 1]`. `table` has one row per surface
+    for what the surface feeds the tagger wherever it occurs: "word_ids",
+    "caps", "ls" (float64 rows) and its characters' ids,
+    `char_ids[char_start[j] : char_start[j] + char_len[j]]`, each present
+    when its block is used. `take` selects sentences and shares the table.
+    """
+
+    sentences: list[Sentence]
+    bounds: np.ndarray                # (sentences + 1,) token offsets
+    surface_ids: np.ndarray           # per token, its row of `table`
+    gold: np.ndarray | None           # per token, its tag id
+    gazetteer: np.ndarray | None      # per token, its gazetteer bits (tokens, names)
+    table: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.sentences)
+
+    def take(self, which: Sequence[int]) -> "Encoded":
+        which = np.asarray(which, dtype=np.int64)
+        lengths = self.bounds[which + 1] - self.bounds[which]
+        bounds = np.zeros(len(which) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=bounds[1:])
+        at = np.arange(bounds[-1]) + np.repeat(self.bounds[which] - bounds[:-1], lengths)
+
+        def pick(per_token):
+            return None if per_token is None else per_token[at]
+
+        return Encoded([self.sentences[i] for i in which.tolist()], bounds, self.surface_ids[at],
+                       pick(self.gold), pick(self.gazetteer), self.table)
+
+
+def _row_sums(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """`np.add.at(np.zeros((n_rows, d)), index, values)`: each row's sum of
+    the `values` rows sent to it, added in order of appearance, through one
+    bincount."""
+    d = values.shape[1]
+    return np.bincount((index[:, None] * d + np.arange(d)).ravel(), weights=values.ravel(),
+                       minlength=n_rows * d).reshape(n_rows, d)
+
+
+def _first_occurrences(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of `ids` in order of first occurrence, and the
+    index of each element's value among them."""
+    seen = np.maximum.accumulate(ids)
+    if ids[0] == 0 and (ids[1:] <= seen[:-1] + 1).all():  # 0, 1, 2, ... as they first occur
+        return np.arange(seen[-1] + 1), ids
+    index: dict[int, int] = {}
+    inverse = [index.setdefault(i, len(index)) for i in ids.tolist()]
+    return np.fromiter(index, np.int64, len(index)), np.array(inverse, dtype=np.int64)
 
 
 def _positions(T: int, B: int) -> np.ndarray:
@@ -315,6 +378,54 @@ class TaggerModel:
     def char_ids(self, surface: str) -> list[int]:
         return [self.char_index.get(c, 0) for c in surface]
 
+    def encode(self, sentences: Sequence[Sentence] | Encoded, gold: bool = False) -> Encoded:
+        """What each distinct surface of `sentences` feeds the tagger, looked
+        up once, with each sentence as rows of that table; with `gold`, also
+        each sentence's tags as ids. An `Encoded` is returned as it is.
+
+        Every per-token feature except the gazetteer bits depends on the
+        surface alone; the gazetteer bits depend on the context, so they are
+        kept per token.
+        """
+        if isinstance(sentences, Encoded):
+            if gold and sentences.gold is None:
+                raise DataError("training sentences must carry gold tags")
+            return sentences
+        cfg = self.config
+        sentences = list(sentences)
+        bounds = np.add.accumulate([0] + [len(s.tokens) for s in sentences])
+        tag_ids = None
+        if gold:
+            if any(s.tags is None for s in sentences):
+                raise DataError("training sentences must carry gold tags")
+            try:
+                tag_ids = np.array([self.tag_index[t] for s in sentences for t in s.tags],
+                                   dtype=np.int64)
+            except KeyError as exc:
+                raise DataError(f"tag {exc.args[0]!r} not in the model tag set") from None
+        # plain dict, not np.unique: fixed-width numpy strings drop trailing NULs
+        index: dict[str, int] = {}
+        ids = np.array([index.setdefault(tok.surface, len(index))
+                        for s in sentences for tok in s.tokens], dtype=np.int64)
+        surfaces = list(index)
+        table: dict[str, np.ndarray] = {}
+        n = len(surfaces)
+        if cfg.uses("word_emb"):
+            table["word_ids"] = np.array([self.word_id(w) for w in surfaces], dtype=np.int64)
+        if cfg.uses("char"):
+            lens = np.fromiter(map(len, surfaces), np.int64, n)
+            table.update(char_len=lens, char_start=np.cumsum(lens) - lens,
+                         char_ids=np.array(self.char_ids("".join(surfaces)) + [0], dtype=np.int64))
+        if cfg.uses("cap"):
+            table["caps"] = np.fromiter(map(capitalization_class, surfaces), np.int64, n)
+        if cfg.uses("ls"):
+            table["ls"] = np.array([self.ls_table.vector(w) for w in surfaces]).astype(np.float64)
+        gaz = None
+        if cfg.uses("gazetteer"):
+            gaz = np.concatenate([np.zeros((0, len(self.gazetteer)))]
+                                 + [gazetteer_features(s, self.gazetteer) for s in sentences])
+        return Encoded(sentences, bounds, ids, tag_ids, gaz, table)
+
     def _bilstm(
         self, prefix: str, x: np.ndarray, rows: np.ndarray, lengths: np.ndarray,
         mask: np.ndarray,
@@ -349,35 +460,27 @@ class TaggerModel:
             v += g[k]
         return dx[0] + dx[1][ctx["rev"]]
 
-    def _char_reps(self, words: list[str]) -> tuple[np.ndarray, dict]:
-        """BiLSTM over the characters of each word.
+    def _char_reps(self, cids: np.ndarray, clens: np.ndarray) -> tuple[np.ndarray, dict]:
+        """BiLSTM over the characters of n words: char ids (lmax, n), zero
+        past each word, and lengths (n,), at least 1 each.
 
-        Returns reps (N, 2*char_hidden) in the order of `words` plus the
-        cache needed for the backward pass.
+        Returns reps (n, 2*char_hidden) plus the cache needed for the
+        backward pass.
         """
-        n = len(words)
-        if n == 0:
-            return np.zeros((0, 2 * self.config.char_hidden)), {"n": 0}
-        clens = np.array([max(1, len(w)) for w in words])
-        lmax = int(clens.max())
-        cids = np.zeros((lmax, n), dtype=np.int64)
-        for j, w in enumerate(words):
-            cids[: len(w), j] = self.char_ids(w)
-        cmask = (np.arange(lmax)[:, None] < clens[None, :]).astype(np.float64)
+        cmask = (np.arange(len(cids))[:, None] < clens[None, :]).astype(np.float64)
         # padding reads the UNK row, as every position of an empty word does
         _, h_final, bictx = self._bilstm("char", self.params["char_emb"], cids, clens, cmask)
-        return np.concatenate(h_final, axis=1), {"n": n, "cids": cids, "cmask": cmask, "bilstm": bictx}
+        return np.concatenate(h_final, axis=1), {"n": len(clens), "cids": cids, "cmask": cmask,
+                                                 "bilstm": bictx}
 
     def _char_backward(self, d_reps: np.ndarray, ctx: dict, grads: ParamStore) -> None:
-        if ctx["n"] == 0:
-            return
-        d_final = np.array(np.split(d_reps, 2, axis=1))
+        d_final = np.swapaxes(d_reps.reshape(len(d_reps), 2, -1), 0, 1)  # (2, n, char_hidden)
         dxe = self._bilstm_backward(ctx["bilstm"], grads, None, dh_final=d_final)
         real = ctx["cmask"].astype(bool)
-        np.add.at(grads["char_emb"], ctx["cids"][real], dxe[real])
+        grads["char_emb"] = _row_sums(ctx["cids"][real], dxe[real], len(self.chars) + 1)
 
     def _assemble(
-        self, batch: list[Sentence]
+        self, batch: Encoded
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
         """The word BiLSTM's input: rows x (N, D_in) and the (T, B) index
         `rows` of the row at each position, so x[rows] is the (T, B, D_in)
@@ -386,42 +489,43 @@ class TaggerModel:
         Also returns lengths (B,), mask (T, B), and the assembly context
         used to route gradients back into the trainable blocks.
 
-        Every per-token feature except the gazetteer bits depends on the
-        surface alone, so there is one row per distinct surface, plus an
-        all-zero last row that every padded position reads. The gazetteer
-        bits depend on the context, so with that block every position gets
-        a row of its own.
+        There is one row per distinct surface of the batch, in order of
+        first occurrence, gathered from the encoding's table, plus an
+        all-zero last row that every padded position reads. With the
+        gazetteer block every position gets a row of its own.
         """
         cfg = self.config
         B = len(batch)
-        lengths = np.array([len(s) for s in batch], dtype=np.int64)
-        if np.any(lengths < 1):
+        lengths = batch.bounds[1:] - batch.bounds[:-1]
+        if lengths.min() < 1:
             raise DataError("cannot process an empty sentence in a batch")
         T = int(lengths.max())
         mask = (np.arange(T)[:, None] < lengths[None, :]).astype(np.float64)
         real = mask.astype(bool)
 
-        # plain dict, not np.unique: fixed-width numpy strings drop trailing NULs
-        index: dict[str, int] = {}
-        inverse = [index.setdefault(tok.surface, len(index)) for s in batch for tok in s.tokens]
-        types = list(index)
+        types, inverse = _first_occurrences(batch.surface_ids)
         rows = np.full((B, T), len(types), dtype=np.int64)
         rows[real.T] = inverse  # surfaces are listed sentence by sentence
         rows = rows.T
         type_at = rows[real]  # type of each real position, in (t, b) order
         ctx: dict = {"real": real, "type_at": type_at}
 
+        table = batch.table
         blocks: dict[str, np.ndarray] = {}  # (n_types, d) per block that reads the surface alone
         if cfg.uses("word_emb"):
-            ctx["wids"] = np.array([self.word_id(w) for w in types], dtype=np.int64)
+            ctx["wids"] = table["word_ids"][types]
             blocks["word_emb"] = self.params["word_emb"][ctx["wids"]]
         if cfg.uses("char"):
-            blocks["char"], ctx["char"] = self._char_reps(types)
+            lens = table["char_len"][types]
+            pos = np.arange(max(1, int(lens.max())))[:, None]
+            cids = np.where(pos < lens, table["char_ids"].take(table["char_start"][types] + pos,
+                                                               mode="clip"), 0)
+            blocks["char"], ctx["char"] = self._char_reps(cids, np.maximum(lens, 1))
         if cfg.uses("cap"):
-            ctx["caps"] = np.array([int(capitalization_class(w)) for w in types], dtype=np.int64)
+            ctx["caps"] = table["caps"][types]
             blocks["cap"] = self.params["cap_emb"][ctx["caps"]]
         if cfg.uses("ls"):
-            blocks["ls"] = np.array([self.ls_table.vector(w) for w in types], dtype=np.float64)
+            blocks["ls"] = table["ls"][types]
 
         widths = {name: r.shape[1] for name, r in blocks.items()}
         if cfg.uses("gazetteer"):
@@ -437,9 +541,7 @@ class TaggerModel:
             x[:-1, : surface.shape[1]] = surface
         if cfg.uses("gazetteer"):
             x = x[rows]
-            gaz = ctx["slices"]["gazetteer"]
-            for b, s in enumerate(batch):
-                x[: len(s), b, gaz] = gazetteer_features(s, self.gazetteer)
+            np.swapaxes(x, 0, 1)[real.T, ctx["slices"]["gazetteer"]] = batch.gazetteer
             x, rows = x.reshape(T * B, at), _positions(T, B)
         return x, rows, lengths, mask, ctx
 
@@ -455,22 +557,21 @@ class TaggerModel:
 
     def nll_and_gradients(
         self,
-        batch: list[Sentence],
+        batch: Sequence[Sentence] | Encoded,
         train: bool = False,
         rng: np.random.Generator | None = None,
         corrupt: str | None = None,
     ) -> tuple[float, ParamStore]:
         """Batch NLL and gradients for every trainable parameter tensor.
 
+        `batch` is sentences with gold tags, or their `encode(..., gold=True)`.
         Training mode applies fresh per-timestep dropout masks to the word
         BiLSTM's input and output vectors; rng is required then. `corrupt`
         names a parameter whose gradient is deliberately damaged, for
         exercising the gradient checker's failure path.
         """
         cfg = self.config
-        for s in batch:
-            if s.tags is None:
-                raise DataError("training sentences must carry gold tags")
+        batch = self.encode(batch, gold=True)
         x, rows, lengths, mask, ctx = self._assemble(batch)
         T, B = rows.shape
 
@@ -491,15 +592,9 @@ class TaggerModel:
 
         em = h @ self.params["proj_w"] + self.params["proj_b"]
 
-        gold = np.zeros((T, B), dtype=np.int64)
-        for b, s in enumerate(batch):
-            for t, tag in enumerate(s.tags):
-                try:
-                    gold[t, b] = self.tag_index[tag]
-                except KeyError:
-                    raise DataError(f"tag {tag!r} not in the model tag set") from None
-
-        nll, dem, dtrans = crf_nll_and_grad(em, lengths, gold, self.params["trans"])
+        gold = np.zeros((B, T), dtype=np.int64)
+        gold[ctx["real"].T] = batch.gold
+        nll, dem, dtrans = crf_nll_and_grad(em, lengths, gold.T, self.params["trans"])
 
         grads = self.params.zeros_like()
         grads["trans"] = dtrans
@@ -520,15 +615,18 @@ class TaggerModel:
         sl = ctx["slices"]
         type_at = ctx["type_at"]
         dx_real = dx[ctx["real"]]
+        # each gradient below starts at zero, so its row sums set it
         if cfg.uses("word_emb"):
-            np.add.at(grads["word_emb"], ctx["wids"][type_at], dx_real[:, sl["word_emb"]])
+            # only the batch's words, not the whole vocabulary
+            words, local = _first_occurrences(ctx["wids"])
+            grads["word_emb"][words] = _row_sums(local[type_at], dx_real[:, sl["word_emb"]],
+                                                 len(words))
         if cfg.uses("char"):
             # a word's rep feeds every position it occupies
-            d_reps = np.zeros((ctx["char"]["n"], 2 * cfg.char_hidden))
-            np.add.at(d_reps, type_at, dx_real[:, sl["char"]])
+            d_reps = _row_sums(type_at, dx_real[:, sl["char"]], ctx["char"]["n"])
             self._char_backward(d_reps, ctx["char"], grads)
         if cfg.uses("cap"):
-            np.add.at(grads["cap_emb"], ctx["caps"][type_at], dx_real[:, sl["cap"]])
+            grads["cap_emb"] = _row_sums(ctx["caps"][type_at], dx_real[:, sl["cap"]], N_CAP_CLASSES)
         # ls and gazetteer blocks are frozen: no gradient routes to them
 
         if corrupt is not None:
@@ -539,22 +637,26 @@ class TaggerModel:
 
     # -- inference ----------------------------------------------------------
 
-    def emissions(self, batch: list[Sentence]) -> tuple[np.ndarray, np.ndarray]:
+    def emissions(self, batch: Sequence[Sentence] | Encoded) -> tuple[np.ndarray, np.ndarray]:
         """Eval-mode emission scores (T, B, L) and lengths."""
-        x, rows, lengths, mask, _ = self._assemble(batch)
+        x, rows, lengths, mask, _ = self._assemble(self.encode(batch))
         h, _ = self._word_bilstm(x, rows, lengths, mask)
         em = h @ self.params["proj_w"] + self.params["proj_b"]
         return em, lengths
 
-    def tag_batch(self, batch: list[Sentence]) -> list[list[str]]:
+    def tag_batch(self, batch: Sequence[Sentence] | Encoded) -> list[list[str]]:
         """Tags of every sentence, decoded a run of consecutive sentences
         at a time so that the working set stays bounded."""
+        data = self.encode(batch)
+        lengths = (data.bounds[1:] - data.bounds[:-1]).tolist()
+        tagged = [i for i, n in enumerate(lengths) if n > 0]
         paths: list[list[int]] = []
-        for part in _runs([s for s in batch if len(s) > 0], _TAG_CHUNK_POSITIONS):
-            em, lengths = self.emissions(part)
-            paths += viterbi_decode_batched(em, lengths, self.params["trans"], self.allowed)[0]
-        tagged = iter(paths)
-        return [[self.tags[j] for j in next(tagged)] if len(s) > 0 else [] for s in batch]
+        for part in _runs([lengths[i] for i in tagged], _TAG_CHUNK_POSITIONS):
+            which = tagged[part]
+            em, em_lengths = self.emissions(data if len(which) == len(data) else data.take(which))
+            paths += viterbi_decode_batched(em, em_lengths, self.params["trans"], self.allowed)[0]
+        decoded = iter(paths)
+        return [[self.tags[j] for j in next(decoded)] if n > 0 else [] for n in lengths]
 
     def tag(self, sentence: Sentence) -> list[str]:
         return self.tag_batch([sentence])[0]

@@ -1,8 +1,8 @@
 """SGD training loop: momentum, gradient clipping, decay, early stopping."""
 from __future__ import annotations
 
+import math
 import sys
-from collections.abc import Mapping
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,10 +16,18 @@ from .gazetteer import Gazetteer
 from .model import ParamStore, TaggerConfig, TaggerModel
 
 
-def global_norm(grads: Mapping[str, np.ndarray]) -> float:
+def global_norm(grads: ParamStore) -> float:
+    """The L2 norm of every tensor of the store together.
+
+    `flat` is squared once and each tensor's span of it summed, in name
+    order, which gives the bits of summing each tensor's squares tensor by
+    tensor. The order of `flat` would not: each fwd tensor sits beside its
+    bwd twin there.
+    """
+    squares = grads.flat * grads.flat
     total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
+    for span in grads.spans.values():
+        total += float(np.add.reduce(squares[span]))  # np.sum without its wrapper
     return float(np.sqrt(total))
 
 
@@ -34,13 +42,14 @@ def sgd_step(
     momentum, decayed learning rate, each a single operation on the `flat`
     buffers.
 
-    The global norm is summed tensor by tensor in `grads` order.
+    A non-finite gradient makes the norm non-finite, so the buffer is
+    searched for one only then.
     """
-    if not np.isfinite(grads.flat).all():
-        bad = next(k for k, g in grads.items() if not np.isfinite(g).all())
-        raise NumericalError(f"non-finite gradient in parameter {bad!r}")
     g = grads.flat
     norm = global_norm(grads)
+    if not math.isfinite(norm) and not np.isfinite(g).all():
+        bad = next(k for k, v in grads.items() if not np.isfinite(v).all())
+        raise NumericalError(f"non-finite gradient in parameter {bad!r}")
     if norm > config.clip_norm:
         g = g * (config.clip_norm / norm)
     lr = config.learning_rate * config.decay_rate ** epoch
@@ -63,16 +72,21 @@ def train(
 
     The dev set steers early stopping: the best-dev parameters are kept and
     restored at the end. History rows carry epoch index, mean train NLL per
-    sentence, and dev F1.
+    sentence, and dev F1. Each set's surfaces are encoded once, before the
+    first epoch.
     """
     if not train_set:
         raise DataError("empty training set")
+    if not dev_set:
+        raise DataError("empty dev set: early stopping has no dev F1 to follow")
     for i, s in enumerate(train_set):
         if s.tags is None:
             raise DataError(f"training sentence {i} has no gold tags")
     tags = sorted({t for s in train_set for t in s.tags})
     charset = sorted({c for s in train_set for tok in s.tokens for c in tok.surface})
     model = TaggerModel.build(config, tags, charset, pretrained, ls_table, gazetteer)
+    train_data = model.encode(train_set, gold=True)
+    dev_data = model.encode(dev_set)
 
     rng = np.random.default_rng(config.seed)
     velocities = model.params.zeros_like()
@@ -88,14 +102,13 @@ def train(
         order = rng.permutation(n)
         total = 0.0
         for lo in range(0, n, config.batch_size):
-            batch = [train_set[i] for i in order[lo : lo + config.batch_size]]
+            batch = train_data.take(order[lo : lo + config.batch_size])
             loss, grads = model.nll_and_gradients(batch, train=True, rng=rng)
             sgd_step(model.params, grads, velocities, config, epoch)
             total += loss
         mean_loss = total / n
 
-        dev_tags = model.tag_batch(list(dev_set))
-        dev_f1 = evaluate(list(dev_set), dev_tags).f1
+        dev_f1 = evaluate(dev_data.sentences, model.tag_batch(dev_data)).f1
         history.append({"epoch": epoch, "loss": mean_loss, "dev_f1": dev_f1})
         say(f"epoch {epoch}: loss {mean_loss:.4f} dev_f1 {dev_f1:.2f}")
 

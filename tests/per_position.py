@@ -32,19 +32,12 @@ class PerPositionTagger(TaggerModel):
         h_seq, h_final, _, cache = lstm_forward(p, np.array((x, x[rev])), mask)
         return h_seq, h_final, {"prefix": prefix, "params": p, "cache": cache, "rev": rev}
 
-    def _char_reps(self, words):
-        n = len(words)
-        if n == 0:
-            return np.zeros((0, 2 * self.config.char_hidden)), {"n": 0}
-        clens = np.array([max(1, len(w)) for w in words])
-        lmax = int(clens.max())
-        cids = np.zeros((lmax, n), dtype=np.int64)
-        for j, w in enumerate(words):
-            cids[: len(w), j] = self.char_ids(w)
-        cmask = (np.arange(lmax)[:, None] < clens[None, :]).astype(np.float64)
+    def _char_reps(self, cids, clens):
+        cmask = (np.arange(len(cids))[:, None] < clens[None, :]).astype(np.float64)
         emb = self.params["char_emb"][cids]  # (lmax, n, char_emb_dim)
         _, h_final, bictx = self._bilstm("char", emb, clens, cmask)
-        return np.concatenate(h_final, axis=1), {"n": n, "cids": cids, "cmask": cmask, "bilstm": bictx}
+        return np.concatenate(h_final, axis=1), {"n": len(clens), "cids": cids, "cmask": cmask,
+                                                 "bilstm": bictx}
 
     def _assemble(self, batch: list[Sentence]):
         cfg = self.config
@@ -69,7 +62,11 @@ class PerPositionTagger(TaggerModel):
             ctx["wids"] = np.array([self.word_id(w) for w in types], dtype=np.int64)
             rows["word_emb"] = self.params["word_emb"][ctx["wids"]]
         if cfg.uses("char"):
-            rows["char"], ctx["char"] = self._char_reps(types)
+            clens = np.array([max(1, len(w)) for w in types])
+            cids = np.zeros((int(clens.max()), len(types)), dtype=np.int64)
+            for j, w in enumerate(types):
+                cids[: len(w), j] = self.char_ids(w)
+            rows["char"], ctx["char"] = self._char_reps(cids, clens)
         if cfg.uses("cap"):
             ctx["caps"] = np.array([int(capitalization_class(w)) for w in types], dtype=np.int64)
             rows["cap"] = self.params["cap_emb"][ctx["caps"]]

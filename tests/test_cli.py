@@ -631,6 +631,15 @@ class TestExitCodes:
                      "--set", f"{key}=nan"]) == 2
         assert "must be" in capsys.readouterr().err and not (tmp_path / "v.vec").exists()
 
+    def test_train_ner_with_an_empty_dev_set(self, bins, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        out = tmp_path / "model.ckpt"
+        assert main(["train-ner", "--train", str(bins / "train.txt"), "--dev", str(empty),
+                     "--output", str(out), "--embeddings", str(bins / "vectors.vec"),
+                     "--ls-table", str(bins / "table.lstb"), *TINY_FLAGS]) == 2
+        assert "empty dev set" in capsys.readouterr().err and not out.exists()
+
     def test_zero_dimension_vector_file(self, tmp_path, capsys):
         vec = tmp_path / "zero.vec"
         vec.write_text("2 0\n/t\nfox\n")

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexner.tagger.lstm import (
-    _shift_in_zero,
     _sigmoid,
     _swap_time,
     init_lstm_params,
@@ -366,6 +365,13 @@ class TestStackedDirections:
 # masking on every step
 # ---------------------------------------------------------------------------
 
+def _shift_in_zero(seq):
+    """seq[t - 1] at position t, zeros at t = 0: the state entering each step."""
+    prev = np.zeros_like(seq)
+    prev[1:] = seq[:-1]
+    return prev
+
+
 def where_lstm_forward(params, x, mask):
     """The kernel's forward with the carry selected by np.where on every step."""
     *stack, T, B, D = x.shape
@@ -460,6 +466,8 @@ class TestSkippedCarryMasking:
             assert np.array_equal(a, b)
         for k in want[3]:
             assert np.array_equal(got[3][k], want[3][k]), k
+        for k in ("h", "c"):  # the states entering each step, without a shifted copy
+            assert np.array_equal(got[3][f"{k}_prev"], _shift_in_zero(want[3][k])), k
         dx, grads = lstm_backward(p, got[3], dh_seq, dh_final=dh_fin, dc_final=dc_fin)
         r_dx, r_grads = where_lstm_backward(p, want[3], dh_seq, dh_fin, dc_fin)
         assert np.array_equal(dx, r_dx)

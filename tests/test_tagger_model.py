@@ -2,6 +2,7 @@
 arithmetic, the training loop, and checkpoint round trips.
 """
 import json
+import re
 import struct
 import tracemalloc
 from dataclasses import fields
@@ -28,9 +29,10 @@ from lexner.tagger import (
 )
 from lexner.tagger import model as model_module
 from lexner.tagger.gradcheck import gradient_check
-from lexner.tagger.model import HEADER_KEYS, HEADER_OFFSET, ParamStore, _runs
+from lexner.tagger.model import HEADER_KEYS, HEADER_OFFSET, ParamStore, _row_sums, _runs
 from lexner.tagger.train import global_norm
 
+from per_batch import PerBatchTagger, ref_train
 from per_position import PerPositionTagger
 from world import (
     BAD_CHECKPOINT_HEADERS,
@@ -63,7 +65,7 @@ def build_tiny_model(features=("word_emb", "char", "cap", "ls"), gazetteer=None,
 
 def batch_input(model, words):
     """The word BiLSTM's (T, 1, D) input for one sentence."""
-    x, rows = model._assemble([Sentence.from_words(words)])[:2]
+    x, rows = model._assemble(model.encode([Sentence.from_words(words)]))[:2]
     return x[rows]
 
 
@@ -148,6 +150,17 @@ class TestAssembly:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_config_rejects_non_finite_floats(self, name, value):
         with pytest.raises(DataError, match="must be positive and finite"):
+            TaggerConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("dropout_prob", 1.0, "dropout_prob must be in [0, 1)"),
+        ("decay_rate", 0.0, "decay_rate must be in (0, 1]"),
+        ("momentum", -0.1, "momentum must be in [0, 1)"),
+        ("patience", 0, "patience must be positive"),
+        ("word_hidden", float("nan"), "word_hidden must be positive"),
+    ])
+    def test_config_names_the_field_out_of_range(self, name, value, message):
+        with pytest.raises(DataError, match=re.escape(message)):
             TaggerConfig(**{name: value})
 
     @pytest.mark.parametrize("feature, message", [
@@ -262,7 +275,7 @@ class TestPerPositionOracle:
         ref = PerPositionTagger.of(model)
         batch = [Sentence.from_words([w for w, _ in s], tags=[t for _, t in s]) for s in sentences]
 
-        x, rows = model._assemble(batch)[:2]
+        x, rows = model._assemble(model.encode(batch))[:2]
         assert np.array_equal(x[rows], ref._assemble(batch)[0])  # padding reads zeros
         em, lengths = model.emissions(batch)
         r_em, r_lengths = ref.emissions(batch)
@@ -275,6 +288,112 @@ class TestPerPositionOracle:
         for k in r_grads:
             assert np.array_equal(grads[k], r_grads[k]), k
         assert rng.bit_generator.state == r_rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# each data set encoded once against per-batch assembly
+# ---------------------------------------------------------------------------
+
+# ORACLE_WORDS plus "qj" and "ZQ", which are outside the vocabulary, the
+# charset and the LS table in every casing
+ENCODED_WORDS = ORACLE_WORDS + ["qj", "ZQ"]
+ENCODED_SETS = st.lists(
+    st.lists(st.tuples(st.sampled_from(ENCODED_WORDS), st.sampled_from(["O", "U-animal"])),
+             min_size=1, max_size=6),
+    min_size=1, max_size=6)
+ORACLE_GAZETTEER = {"metalish": ["iron rust", "gold"], "beasts": ["fox", "crow"]}
+
+
+def as_sentences(rows):
+    return [Sentence.from_words([w for w, _ in s], tags=[t for _, t in s]) for s in rows]
+
+
+class TestEncodedOracle:
+    """Encoding a data set once and selecting batches from it keeps every
+    bit of assembling each batch from its sentences (`tests/per_batch.py`):
+    the word BiLSTM's input, emissions, loss, every gradient, the dropout
+    generator's state and the tags."""
+
+    @given(st.sampled_from(sorted(ORACLE_FEATURES)), st.booleans(), ENCODED_SETS,
+           st.lists(st.integers(0, 99), min_size=1, max_size=5), st.integers(0, 2**16))
+    @example("all", False, [[("qj", "O"), ("ZQ", "U-animal")]], [0], 0)  # every surface new
+    @example("all", True, [[("a", "O")], [("x", "O"), ("a", "O")]], [1, 0, 1], 1)  # one character
+    @example("gazetteer", True, [[("fox", "O")], [("iron", "O"), ("rust", "O")]], [1], 2)
+    @example("char_only", False, [[("the", "O"), ("The", "O"), ("the", "O")]], [0], 3)
+    @settings(max_examples=60, deadline=None)
+    def test_encoded_batch_equals_per_batch_assembly(self, features, dropout, rows, picks, seed):
+        model, _, _ = build_tiny_model(features=ORACLE_FEATURES[features],
+                                       gazetteer=Gazetteer(ORACLE_GAZETTEER), seed=seed)
+        ref = PerBatchTagger.of(model)
+        data = as_sentences(rows)
+        which = [p % len(data) for p in picks]  # repeats and any order, as a batch may have
+        batch = [data[i] for i in which]
+        encoded = model.encode(data, gold=True).take(which)
+
+        got, want = model._assemble(encoded), ref._assemble(batch)
+        for a, b in zip(got[:4], want[:4]):  # x, rows, lengths, mask
+            assert np.array_equal(a, b)
+        em, lengths = model.emissions(encoded)
+        r_em, r_lengths = ref.emissions(batch)
+        assert np.array_equal(em, r_em) and np.array_equal(lengths, r_lengths)
+
+        rng, r_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        nll, grads = model.nll_and_gradients(encoded, train=dropout, rng=rng)
+        r_nll, r_grads = ref.nll_and_gradients(batch, train=dropout, rng=r_rng)
+        assert nll == r_nll
+        for k in r_grads:
+            assert np.array_equal(grads[k], r_grads[k]), k
+        assert rng.bit_generator.state == r_rng.bit_generator.state
+
+        tags = ref.tag_batch(batch)
+        assert model.tag_batch(encoded) == tags and model.tag_batch(batch) == tags
+
+    @pytest.mark.parametrize("features", ["all", "gazetteer"])
+    def test_train_equals_a_loop_over_per_batch_assembly(self, features):
+        table, _, ls = tiny_world()
+        dev = as_sentences([[("the", "O"), ("qj", "O"), ("fox", "U-animal")],
+                            [("Gold", "U-metal"), ("is", "O"), ("ZQ", "O")],
+                            [("a", "O")]])
+        cfg = tiny_config(features=ORACLE_FEATURES[features], max_epochs=5, patience=2,
+                          batch_size=4, learning_rate=0.5)
+        gaz = Gazetteer(ORACLE_GAZETTEER) if features == "gazetteer" else None
+        model, history = train(tagged_sentences(), dev, cfg, pretrained=table, ls_table=ls,
+                               gazetteer=gaz)
+        ref, r_history = ref_train(tagged_sentences(), dev, cfg, table, ls, gaz)
+        assert history == r_history
+        assert np.array_equal(model.params.flat, ref.params.flat)
+
+    def test_each_surface_is_looked_up_once_per_data_set(self, monkeypatch):
+        model, sents, ls = repeated_surface_model()
+        seen = []
+        lookup = ls.vector
+        monkeypatch.setattr(ls, "vector", lambda word: seen.append(word) or lookup(word))
+        encoded = model.encode(sents, gold=True)
+        for part in ([0, 1], [2, 0], [1]):
+            model.nll_and_gradients(encoded.take(part))
+        model.tag_batch(encoded)
+        assert sorted(seen) == sorted({tok.surface for s in sents for tok in s.tokens})
+
+    def test_unknown_tag_is_refused_when_encoding(self):
+        model, _, _ = build_tiny_model()
+        with pytest.raises(DataError, match="tag 'B-nothere' not in the model tag set"):
+            model.encode([Sentence.from_words(["the"], tags=["B-nothere"])], gold=True)
+        with pytest.raises(DataError, match="must carry gold tags"):
+            model.nll_and_gradients(model.encode([Sentence.from_words(["the"])]))
+
+
+class TestRowSums:
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=40), st.integers(1, 5),
+           st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_equal_to_add_at_into_zeros(self, index, width, seed):
+        rng = np.random.default_rng(seed)
+        index = np.array(index)
+        values = rng.normal(size=(len(index), width)) * 10.0 ** rng.uniform(-8, 8, (len(index), 1))
+        want = np.zeros((7, width))
+        np.add.at(want, index, values)
+        got = _row_sums(index, values, 7)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +513,16 @@ class TestSgd:
             sgd_step(params, one_tensor([np.inf, 0.0]), one_tensor(np.zeros(2)), cfg, epoch=0)
 
     def test_global_norm(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
+        grads = ParamStore.from_arrays({"a": np.array([3.0]), "b": np.array([4.0])})
         assert global_norm(grads) == pytest.approx(5.0)
+
+
+def ref_global_norm(grads):
+    """The norm summed tensor by tensor, each tensor's squares on their own."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    return float(np.sqrt(total))
 
 
 def ref_sgd_step(params, grads, velocities, config, epoch):
@@ -403,7 +530,7 @@ def ref_sgd_step(params, grads, velocities, config, epoch):
     for k, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient in parameter {k!r}")
-    norm = global_norm(grads)
+    norm = ref_global_norm(grads)
     scale = config.clip_norm / norm if norm > config.clip_norm else 1.0
     clipped = {k: g * scale for k, g in grads.items()}
     lr = config.learning_rate * config.decay_rate ** epoch
@@ -443,6 +570,40 @@ class TestFlatSgd:
         with pytest.raises(NumericalError, match="'char_bwd.wh'"):
             sgd_step(model.params, grads, model.params.zeros_like(), model.config, 0)
         assert np.array_equal(model.params.flat, before)
+
+
+class TestSpanNorm:
+    """`global_norm` sums spans of the squared `flat` in name order, which
+    gives the tensor-by-tensor bits; fwd/bwd twins sit side by side in
+    `flat`, so its memory order is another summation order."""
+
+    def store(self):
+        model, _, _ = build_tiny_model()
+        grads = model.params.zeros_like()
+        rng = np.random.default_rng(5)
+        for k, v in grads.items():  # scales that differ per tensor expose the order
+            v[...] = rng.normal(size=v.shape) * 10.0 ** rng.uniform(-3, 3)
+        return grads
+
+    def test_equals_the_per_tensor_norm_bitwise(self):
+        grads = self.store()
+        norm = global_norm(grads)
+        assert norm == ref_global_norm(grads)
+        in_memory_order = sorted(grads.spans.values(), key=lambda span: span.start)
+        assert in_memory_order != list(grads.spans.values())
+        walked = 0.0
+        for span in in_memory_order:
+            walked += float(np.sum(grads.flat[span] ** 2))
+        assert float(np.sqrt(walked)) != norm  # this store tells the two orders apart
+
+    def test_clip_decision_on_both_sides_of_clip_norm(self):
+        grads = self.store()
+        norm = ref_global_norm(grads)
+        for clip_norm, clipped in ((np.nextafter(norm, 0.0), True), (norm, False)):
+            params = grads.zeros_like()
+            sgd_step(params, grads, grads.zeros_like(), plain_config(clip_norm=clip_norm), 0)
+            want = -(grads.flat * (clip_norm / norm)) if clipped else -grads.flat
+            assert np.array_equal(params.flat, want), clipped
 
 
 class TestParamStore:
@@ -530,6 +691,12 @@ class TestTraining:
             train([Sentence.from_words(["a"])], [], tiny_config(),
                   pretrained=table, ls_table=ls)
 
+    def test_empty_dev_set_rejected(self):
+        table, inv, ls = tiny_world()
+        with pytest.raises(DataError, match="empty dev set"):
+            train(tagged_sentences(), [], tiny_config(max_epochs=8, patience=2),
+                  pretrained=table, ls_table=ls)
+
     def test_best_dev_epoch_is_restored(self):
         table, inv, ls = tiny_world()
         sents = tagged_sentences()
@@ -607,7 +774,7 @@ class TestTagging:
         emissions = model.emissions
 
         def recorded(part):
-            shapes.append((len(part), max(len(s) for s in part)))
+            shapes.append((len(part), max(len(s) for s in part.sentences)))
             return emissions(part)
 
         monkeypatch.setattr(model, "emissions", recorded)
@@ -618,13 +785,12 @@ class TestTagging:
     @given(st.lists(st.integers(1, 9), max_size=12), st.integers(1, 30))
     @settings(max_examples=200, deadline=None)
     def test_runs_are_greedy_consecutive_and_bounded(self, lengths, limit):
-        batch = [Sentence.from_words(["w"] * n) for n in lengths]
-        runs = list(_runs(batch, limit))
-        assert [s for r in runs for s in r] == batch and all(runs)
-        size = [len(r) * max(len(s) for s in r) for r in runs]
+        runs = [lengths[part] for part in _runs(lengths, limit)]
+        assert [n for r in runs for n in r] == lengths and all(runs)
+        size = [len(r) * max(r) for r in runs]
         assert all(n <= limit or len(r) == 1 for n, r in zip(size, runs))
         for r, nxt in zip(runs, runs[1:]):  # the next sentence would not have fitted
-            assert (len(r) + 1) * max(len(s) for s in r + nxt[:1]) > limit
+            assert (len(r) + 1) * max(r + nxt[:1]) > limit
 
 
 # ---------------------------------------------------------------------------
