@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import binfile
-from .errors import POSITIVE, POSITIVE_FINITE, DataError, FormatError, NumericalError, check_ranges
+from .errors import DataError, FormatError, NumericalError
 
 FNV_OFFSET = 0x811C9DC5
 FNV_PRIME = 0x01000193
@@ -165,17 +165,18 @@ class EmbedConfig:
     seed: int = 1
 
     def __post_init__(self):
-        check_ranges(self, _EMBED_RANGES)
-        if self.ngram_min > self.ngram_max:
+        if self.dim <= 0:
+            raise DataError("dim must be positive")
+        if self.window <= 0 or self.negatives <= 0 or self.epochs <= 0:
+            raise DataError("window, negatives and epochs must be positive")
+        if not (0 < self.ngram_min <= self.ngram_max):
             raise DataError(f"bad n-gram range [{self.ngram_min}, {self.ngram_max}]")
-
-
-_EMBED_RANGES = {
-    **dict.fromkeys(("dim", "window", "ngram_min", "bucket_count", "negatives", "epochs"),
-                    POSITIVE),
-    "learning_rate": POSITIVE_FINITE,
-    "subsample_threshold": (lambda v: 0 <= v < math.inf, "non-negative and finite"),
-}
+        if self.bucket_count <= 0:
+            raise DataError("bucket_count must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise DataError("learning_rate must be positive and finite")
+        if not 0 <= self.subsample_threshold < math.inf:
+            raise DataError("subsample_threshold must be non-negative and finite")
 
 
 class EmbeddingTable:

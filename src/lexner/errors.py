@@ -1,10 +1,8 @@
-"""Exception hierarchy shared by all modules, and the range check of
-config values.
+"""Exception hierarchy shared by all modules.
 
 The CLI maps these onto exit codes: usage errors exit 1, data errors exit 2,
 numerical failures exit 3.
 """
-import math
 
 
 class LexnerError(Exception):
@@ -47,18 +45,3 @@ class FormatError(DataError):
 
 class NumericalError(LexnerError):
     """Non-finite values or failed numerical checks during training."""
-
-
-# value ranges for `check_ranges`: (test, how the error message states it);
-# nan fails every test
-POSITIVE = (lambda v: v > 0, "positive")
-POSITIVE_FINITE = (lambda v: 0 < v < math.inf, "positive and finite")
-UNIT = (lambda v: 0 <= v < 1, "in [0, 1)")
-
-
-def check_ranges(config, ranges: dict) -> None:
-    """Raise DataError naming the first field of `config`, in `ranges`
-    order, whose value fails its range."""
-    for name, (ok, text) in ranges.items():
-        if not ok(getattr(config, name)):
-            raise DataError(f"{name} must be {text}")

@@ -36,7 +36,7 @@ import numpy as np
 from .. import binfile
 from ..corpus import Sentence, capitalization_class
 from ..embed import EmbeddingTable
-from ..errors import POSITIVE, POSITIVE_FINITE, UNIT, DataError, FormatError, check_ranges
+from ..errors import DataError, FormatError
 from ..lexsim import LSTable
 from .crf import (
     bilou_allowed_transitions,
@@ -82,21 +82,21 @@ class TaggerConfig:
             raise DataError("duplicate feature blocks")
         if not self.features:
             raise DataError("at least one feature block is required")
-        check_ranges(self, _TAGGER_RANGES)
+        for name in ("word_hidden", "char_emb_dim", "char_hidden", "cap_emb_dim",
+                     "batch_size", "max_epochs", "patience"):
+            if not getattr(self, name) > 0:  # rejects nan, which `<= 0` lets through
+                raise DataError(f"{name} must be positive")
+        if not (0.0 <= self.dropout_prob < 1.0):
+            raise DataError("dropout_prob must be in [0, 1)")
+        if not (0.0 < self.decay_rate <= 1.0):
+            raise DataError("decay_rate must be in (0, 1]")
+        if not (0 < self.learning_rate < math.inf and 0 < self.clip_norm < math.inf):
+            raise DataError("learning_rate and clip_norm must be positive and finite")
+        if not (0.0 <= self.momentum < 1.0):
+            raise DataError("momentum must be in [0, 1)")
 
     def uses(self, feature: str) -> bool:
         return feature in self.features
-
-
-_TAGGER_RANGES = {
-    **dict.fromkeys(("word_hidden", "char_emb_dim", "char_hidden", "cap_emb_dim", "batch_size",
-                     "max_epochs", "patience"), POSITIVE),
-    "dropout_prob": UNIT,
-    "learning_rate": POSITIVE_FINITE,
-    "momentum": UNIT,
-    "clip_norm": POSITIVE_FINITE,
-    "decay_rate": (lambda v: 0 < v <= 1, "in (0, 1]"),
-}
 
 
 @lru_cache(maxsize=16)
@@ -252,9 +252,6 @@ def _row_sums(index: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
 def _first_occurrences(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of `ids` in order of first occurrence, and the
     index of each element's value among them."""
-    seen = np.maximum.accumulate(ids)
-    if ids[0] == 0 and (ids[1:] <= seen[:-1] + 1).all():  # 0, 1, 2, ... as they first occur
-        return np.arange(seen[-1] + 1), ids
     index: dict[int, int] = {}
     inverse = [index.setdefault(i, len(index)) for i in ids.tolist()]
     return np.fromiter(index, np.int64, len(index)), np.array(inverse, dtype=np.int64)
@@ -378,19 +375,15 @@ class TaggerModel:
     def char_ids(self, surface: str) -> list[int]:
         return [self.char_index.get(c, 0) for c in surface]
 
-    def encode(self, sentences: Sequence[Sentence] | Encoded, gold: bool = False) -> Encoded:
+    def encode(self, sentences: Sequence[Sentence], gold: bool = False) -> Encoded:
         """What each distinct surface of `sentences` feeds the tagger, looked
         up once, with each sentence as rows of that table; with `gold`, also
-        each sentence's tags as ids. An `Encoded` is returned as it is.
+        each sentence's tags as ids.
 
         Every per-token feature except the gazetteer bits depends on the
         surface alone; the gazetteer bits depend on the context, so they are
         kept per token.
         """
-        if isinstance(sentences, Encoded):
-            if gold and sentences.gold is None:
-                raise DataError("training sentences must carry gold tags")
-            return sentences
         cfg = self.config
         sentences = list(sentences)
         bounds = np.add.accumulate([0] + [len(s.tokens) for s in sentences])
@@ -557,21 +550,22 @@ class TaggerModel:
 
     def nll_and_gradients(
         self,
-        batch: Sequence[Sentence] | Encoded,
+        batch: Encoded,
         train: bool = False,
         rng: np.random.Generator | None = None,
         corrupt: str | None = None,
     ) -> tuple[float, ParamStore]:
         """Batch NLL and gradients for every trainable parameter tensor.
 
-        `batch` is sentences with gold tags, or their `encode(..., gold=True)`.
+        `batch` is sentences as `encode(..., gold=True)` gives them.
         Training mode applies fresh per-timestep dropout masks to the word
         BiLSTM's input and output vectors; rng is required then. `corrupt`
         names a parameter whose gradient is deliberately damaged, for
         exercising the gradient checker's failure path.
         """
         cfg = self.config
-        batch = self.encode(batch, gold=True)
+        if batch.gold is None:
+            raise DataError("training sentences must carry gold tags")
         x, rows, lengths, mask, ctx = self._assemble(batch)
         T, B = rows.shape
 
@@ -637,9 +631,9 @@ class TaggerModel:
 
     # -- inference ----------------------------------------------------------
 
-    def emissions(self, batch: Sequence[Sentence] | Encoded) -> tuple[np.ndarray, np.ndarray]:
+    def emissions(self, batch: Encoded) -> tuple[np.ndarray, np.ndarray]:
         """Eval-mode emission scores (T, B, L) and lengths."""
-        x, rows, lengths, mask, _ = self._assemble(self.encode(batch))
+        x, rows, lengths, mask, _ = self._assemble(batch)
         h, _ = self._word_bilstm(x, rows, lengths, mask)
         em = h @ self.params["proj_w"] + self.params["proj_b"]
         return em, lengths
@@ -647,7 +641,7 @@ class TaggerModel:
     def tag_batch(self, batch: Sequence[Sentence] | Encoded) -> list[list[str]]:
         """Tags of every sentence, decoded a run of consecutive sentences
         at a time so that the working set stays bounded."""
-        data = self.encode(batch)
+        data = batch if isinstance(batch, Encoded) else self.encode(batch)
         lengths = (data.bounds[1:] - data.bounds[:-1]).tolist()
         tagged = [i for i, n in enumerate(lengths) if n > 0]
         paths: list[list[int]] = []

@@ -130,7 +130,7 @@ class TestAssembly:
     def test_empty_sentence_in_batch_rejected(self):
         model, sents, _ = build_tiny_model()
         with pytest.raises(DataError):
-            model.nll_and_gradients([Sentence.from_words([], tags=[])])
+            model.nll_and_gradients(model.encode([Sentence.from_words([], tags=[])], gold=True))
 
     def test_build_errors(self):
         table, inv, ls = tiny_world()
@@ -209,9 +209,9 @@ class TestRepeatedSurfaces:
     def test_emissions_match_one_sentence_at_a_time(self):
         model, sents, ls = repeated_surface_model()
         assert "foxes" not in ls and np.any(ls.vector("foxes") != 0.0)  # subword fallback
-        em, lengths = model.emissions(sents)
+        em, lengths = model.emissions(model.encode(sents))
         for b, s in enumerate(sents):
-            solo, _ = model.emissions([s])
+            solo, _ = model.emissions(model.encode([s]))
             np.testing.assert_allclose(em[: lengths[b], b], solo[:, 0], rtol=1e-12, atol=1e-12)
 
     def test_one_ls_lookup_per_distinct_surface(self, monkeypatch):
@@ -224,7 +224,7 @@ class TestRepeatedSurfaces:
             return lookup(word)
 
         monkeypatch.setattr(ls, "vector", counted)
-        model.emissions(sents)
+        model.emissions(model.encode(sents))
         surfaces = [tok.surface for s in sents for tok in s.tokens]
         assert sorted(seen) == sorted(set(surfaces))
 
@@ -277,12 +277,13 @@ class TestPerPositionOracle:
 
         x, rows = model._assemble(model.encode(batch))[:2]
         assert np.array_equal(x[rows], ref._assemble(batch)[0])  # padding reads zeros
-        em, lengths = model.emissions(batch)
+        em, lengths = model.emissions(model.encode(batch))
         r_em, r_lengths = ref.emissions(batch)
         assert np.array_equal(em, r_em) and np.array_equal(lengths, r_lengths)
 
         rng, r_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        nll, grads = model.nll_and_gradients(batch, train=dropout, rng=rng)
+        nll, grads = model.nll_and_gradients(model.encode(batch, gold=True), train=dropout,
+                                             rng=rng)
         r_nll, r_grads = ref.nll_and_gradients(batch, train=dropout, rng=r_rng)
         assert nll == r_nll
         for k in r_grads:
@@ -378,8 +379,6 @@ class TestEncodedOracle:
         model, _, _ = build_tiny_model()
         with pytest.raises(DataError, match="tag 'B-nothere' not in the model tag set"):
             model.encode([Sentence.from_words(["the"], tags=["B-nothere"])], gold=True)
-        with pytest.raises(DataError, match="must carry gold tags"):
-            model.nll_and_gradients(model.encode([Sentence.from_words(["the"])]))
 
 
 class TestRowSums:
@@ -425,32 +424,33 @@ class TestGradients:
     def test_corrupt_unknown_name(self):
         model, sents, _ = build_tiny_model()
         with pytest.raises(DataError):
-            model.nll_and_gradients(sents[:1], corrupt="nope")
+            model.nll_and_gradients(model.encode(sents[:1], gold=True), corrupt="nope")
 
     def test_eval_mode_is_pure(self):
         model, sents, _ = build_tiny_model()
-        l1, g1 = model.nll_and_gradients(sents[:3])
-        l2, g2 = model.nll_and_gradients(sents[:3])
+        batch = model.encode(sents[:3], gold=True)
+        l1, g1 = model.nll_and_gradients(batch)
+        l2, g2 = model.nll_and_gradients(batch)
         assert l1 == l2
         for k in g1:
             np.testing.assert_array_equal(g1[k], g2[k])
 
     def test_dropout_needs_rng_and_perturbs(self):
         model, sents, _ = build_tiny_model()
+        batch = model.encode(sents[:2], gold=True)
         with pytest.raises(DataError):
-            model.nll_and_gradients(sents[:2], train=True)
-        base, _ = model.nll_and_gradients(sents[:2])
+            model.nll_and_gradients(batch, train=True)
+        base, _ = model.nll_and_gradients(batch)
         rng = np.random.default_rng(7)
-        noisy, _ = model.nll_and_gradients(sents[:2], train=True, rng=rng)
+        noisy, _ = model.nll_and_gradients(batch, train=True, rng=rng)
         assert noisy != base
 
     def test_missing_gold_tags_rejected(self):
         model, _, _ = build_tiny_model()
-        with pytest.raises(DataError):
-            model.nll_and_gradients([Sentence.from_words(["the", "fox"])])
-        with pytest.raises(DataError):
-            model.nll_and_gradients(
-                [Sentence.from_words(["the"], tags=["B-nothere"])])
+        with pytest.raises(DataError, match="must carry gold tags"):
+            model.encode([Sentence.from_words(["the", "fox"])], gold=True)
+        with pytest.raises(DataError, match="must carry gold tags"):  # encoded without gold
+            model.nll_and_gradients(model.encode([Sentence.from_words(["the"], tags=["O"])]))
 
 
 # ---------------------------------------------------------------------------
@@ -685,10 +685,10 @@ class TestTraining:
 
     def test_empty_train_set_rejected(self):
         table, inv, ls = tiny_world()
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="empty training set"):
             train([], [], tiny_config(), pretrained=table, ls_table=ls)
-        with pytest.raises(DataError):
-            train([Sentence.from_words(["a"])], [], tiny_config(),
+        with pytest.raises(DataError, match="has no gold tags"):
+            train([Sentence.from_words(["a"])], tagged_sentences()[:1], tiny_config(),
                   pretrained=table, ls_table=ls)
 
     def test_empty_dev_set_rejected(self):
