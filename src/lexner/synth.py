@@ -37,6 +37,11 @@ FILLERS = (
 PLANT_SUFFIX = "et"
 VARIANT_SUFFIX = "ix"
 
+# `ner_dataset`'s shares of variant entities, second junk words and entity-free sentences
+VARIANT_RATE = 0.45
+EXTRA_JUNK_RATE = 0.3
+NO_MENTION_RATE = 0.15
+
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
 
@@ -173,10 +178,6 @@ def ner_dataset(
     n_test: int = 500,
     dev_held_out_per_type: int = 2,
     test_held_out_per_type: int = 3,
-    variant_rate: float = 0.45,
-    extra_junk_rate: float = 0.3,
-    no_mention_rate: float = 0.15,
-    two_token_rate: float = 0.0,
 ) -> NerSplits:
     """Tagged splits where unseen-surface entities are typable only by LS.
 
@@ -211,30 +212,23 @@ def ner_dataset(
     def pick(pool: list[str]) -> str:
         return pool[int(rng.integers(len(pool)))]
 
-    def entity_surfaces(split: str, label: str) -> list[str]:
-        if rng.random() < variant_rate:
-            stems = variant_stems[split][label]
-            make = world.variant
-        else:
-            stems = set_a[label]
-            make = lambda s: s + PLANT_SUFFIX
-        n = 2 if rng.random() < two_token_rate else 1
-        return [make(pick(stems)) for _ in range(n)]
-
     def sentence(split: str) -> Sentence:
         junk = junk_pools[split]
         words = [pick(list(FILLERS)) for _ in range(int(rng.integers(5, 9)))]
         spots = list(rng.permutation(len(words)))
         words[spots[0]] = pick(junk)
-        if rng.random() < extra_junk_rate:
+        if rng.random() < EXTRA_JUNK_RATE:
             words[spots[1]] = pick(junk)
         mentions: list[Mention] = []
-        if rng.random() >= no_mention_rate:
+        if rng.random() >= NO_MENTION_RATE:
             label = pick(labels)
-            surfs = entity_surfaces(split, label)
+            variant = rng.random() < VARIANT_RATE
+            rng.random()  # once chose two-token mentions; still drawn so that splits stay the same
+            stem = pick(variant_stems[split][label] if variant else set_a[label])
+            surface = world.variant(stem) if variant else stem + PLANT_SUFFIX
             at = int(rng.integers(1, len(words)))
-            words = words[:at] + surfs + words[at:]
-            mentions = [Mention(at, at + len(surfs), label)]
+            words.insert(at, surface)
+            mentions = [Mention(at, at + 1, label)]
         tags = mentions_to_tags(mentions, len(words))
         return Sentence.from_words(words, mentions=mentions, tags=tags)
 

@@ -185,8 +185,8 @@ class ParamStore(Mapping):
 
 
 # padded positions (sentences times the longest) tagged at once; bounds the
-# working set of `tag_batch`, which is about 27 KiB per padded position at
-# the default TaggerConfig
+# working set of `tag_batch`, which is about 6.3 KiB per padded position at
+# the default TaggerConfig (tracemalloc peak of a run of 4,096 positions)
 _TAG_CHUNK_POSITIONS = 4096
 
 
@@ -421,7 +421,7 @@ class TaggerModel:
 
     def _bilstm(
         self, prefix: str, x: np.ndarray, rows: np.ndarray, lengths: np.ndarray,
-        mask: np.ndarray,
+        mask: np.ndarray, backward: bool = True,
     ) -> tuple[np.ndarray, np.ndarray, dict]:
         """`{prefix}_fwd` over a batch and `{prefix}_bwd` over it reversed
         within `lengths`, as one stacked recurrence.
@@ -432,11 +432,12 @@ class TaggerModel:
         h_seq (2, T, B, H) and h_final (2, B, H), direction 1 in its own
         (reversed) time order, plus the context for `_bilstm_backward`,
         whose "rev" index reverses any (T, B, ...) array of this batch
-        within `lengths`.
+        within `lengths`. Without `backward` the context holds no LSTM cache.
         """
         rev = padded_reversal(lengths, rows.shape[0])
         p = self.params.stacked(prefix)
-        h_seq, h_final, _, cache = lstm_forward(p, x, mask, rows=np.array((rows, rows[rev])))
+        h_seq, h_final, _, cache = lstm_forward(p, x, mask, rows=np.array((rows, rows[rev])),
+                                                keep_cache=backward)
         return h_seq, h_final, {"prefix": prefix, "params": p, "cache": cache, "rev": rev}
 
     def _bilstm_backward(
@@ -453,7 +454,9 @@ class TaggerModel:
             v += g[k]
         return dx[0] + dx[1][ctx["rev"]]
 
-    def _char_reps(self, cids: np.ndarray, clens: np.ndarray) -> tuple[np.ndarray, dict]:
+    def _char_reps(
+        self, cids: np.ndarray, clens: np.ndarray, backward: bool = True
+    ) -> tuple[np.ndarray, dict]:
         """BiLSTM over the characters of n words: char ids (lmax, n), zero
         past each word, and lengths (n,), at least 1 each.
 
@@ -462,7 +465,8 @@ class TaggerModel:
         """
         cmask = (np.arange(len(cids))[:, None] < clens[None, :]).astype(np.float64)
         # padding reads the UNK row, as every position of an empty word does
-        _, h_final, bictx = self._bilstm("char", self.params["char_emb"], cids, clens, cmask)
+        _, h_final, bictx = self._bilstm("char", self.params["char_emb"], cids, clens, cmask,
+                                         backward)
         return np.concatenate(h_final, axis=1), {"n": len(clens), "cids": cids, "cmask": cmask,
                                                  "bilstm": bictx}
 
@@ -473,14 +477,15 @@ class TaggerModel:
         grads["char_emb"] = _row_sums(ctx["cids"][real], dxe[real], len(self.chars) + 1)
 
     def _assemble(
-        self, batch: Encoded
+        self, batch: Encoded, backward: bool = True
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
         """The word BiLSTM's input: rows x (N, D_in) and the (T, B) index
         `rows` of the row at each position, so x[rows] is the (T, B, D_in)
         batch of concatenated feature blocks.
 
         Also returns lengths (B,), mask (T, B), and the assembly context
-        used to route gradients back into the trainable blocks.
+        used to route gradients back into the trainable blocks; without
+        `backward`, the char BiLSTM keeps no cache for them.
 
         There is one row per distinct surface of the batch, in order of
         first occurrence, gathered from the encoding's table, plus an
@@ -513,7 +518,7 @@ class TaggerModel:
             pos = np.arange(max(1, int(lens.max())))[:, None]
             cids = np.where(pos < lens, table["char_ids"].take(table["char_start"][types] + pos,
                                                                mode="clip"), 0)
-            blocks["char"], ctx["char"] = self._char_reps(cids, np.maximum(lens, 1))
+            blocks["char"], ctx["char"] = self._char_reps(cids, np.maximum(lens, 1), backward)
         if cfg.uses("cap"):
             ctx["caps"] = table["caps"][types]
             blocks["cap"] = self.params["cap_emb"][ctx["caps"]]
@@ -541,10 +546,11 @@ class TaggerModel:
     # -- forward/backward ---------------------------------------------------
 
     def _word_bilstm(
-        self, x: np.ndarray, rows: np.ndarray, lengths: np.ndarray, mask: np.ndarray
+        self, x: np.ndarray, rows: np.ndarray, lengths: np.ndarray, mask: np.ndarray,
+        backward: bool = True,
     ) -> tuple[np.ndarray, dict]:
         """Word BiLSTM states (T, B, 2*word_hidden), both halves in reading order."""
-        h_seq, _, bictx = self._bilstm("word", x, rows, lengths, mask)
+        h_seq, _, bictx = self._bilstm("word", x, rows, lengths, mask, backward)
         h = np.concatenate([h_seq[0], h_seq[1][bictx["rev"]]], axis=2)
         return h, bictx
 
@@ -632,9 +638,10 @@ class TaggerModel:
     # -- inference ----------------------------------------------------------
 
     def emissions(self, batch: Encoded) -> tuple[np.ndarray, np.ndarray]:
-        """Eval-mode emission scores (T, B, L) and lengths."""
-        x, rows, lengths, mask, _ = self._assemble(batch)
-        h, _ = self._word_bilstm(x, rows, lengths, mask)
+        """Eval-mode emission scores (T, B, L) and lengths; no backward pass
+        follows, so neither BiLSTM keeps a cache."""
+        x, rows, lengths, mask, _ = self._assemble(batch, backward=False)
+        h, _ = self._word_bilstm(x, rows, lengths, mask, backward=False)
         em = h @ self.params["proj_w"] + self.params["proj_b"]
         return em, lengths
 

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..corpus import Sentence
+from ..corpus import Sentence, tags_to_mentions
 from ..embed import EmbeddingTable
 from ..errors import DataError, NumericalError
 from ..evaluation import evaluate
@@ -73,7 +74,7 @@ def train(
     The dev set steers early stopping: the best-dev parameters are kept and
     restored at the end. History rows carry epoch index, mean train NLL per
     sentence, and dev F1. Each set's surfaces are encoded once, before the
-    first epoch.
+    first epoch, and so are the dev set's gold mentions.
     """
     if not train_set:
         raise DataError("empty training set")
@@ -87,6 +88,9 @@ def train(
     model = TaggerModel.build(config, tags, charset, pretrained, ls_table, gazetteer)
     train_data = model.encode(train_set, gold=True)
     dev_data = model.encode(dev_set)
+    # gold mentions decoded once, not by `evaluate` after every epoch
+    dev_gold = [s if s.mentions is not None or s.tags is None
+                else replace(s, mentions=tags_to_mentions(s.tags)) for s in dev_data.sentences]
 
     rng = np.random.default_rng(config.seed)
     velocities = model.params.zeros_like()
@@ -108,7 +112,7 @@ def train(
             total += loss
         mean_loss = total / n
 
-        dev_f1 = evaluate(dev_data.sentences, model.tag_batch(dev_data)).f1
+        dev_f1 = evaluate(dev_gold, model.tag_batch(dev_data)).f1
         history.append({"epoch": epoch, "loss": mean_loss, "dev_f1": dev_f1})
         say(f"epoch {epoch}: loss {mean_loss:.4f} dev_f1 {dev_f1:.2f}")
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -547,3 +549,62 @@ class TestRowIndex:
             assert cache["x"] is x and np.array_equal(cache["rows"], rows)
         else:
             assert cache["rows"] is None and np.array_equal(cache["x"], x[rows])
+
+
+# ---------------------------------------------------------------------------
+# the cache-free forward used for tagging
+# ---------------------------------------------------------------------------
+
+class TestCacheFree:
+    """Without a cache the forward runs the same step loop, so its outputs
+    keep every bit of the cached call's."""
+
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=5), st.integers(0, 2),
+           st.integers(0, 8), st.booleans(), st.integers(0, 2**16))
+    @example([7, 3, 1, 5], 0, 4, True, 0)    # ragged, fewer rows than positions
+    @example([2, 0, 3], 0, 0, True, 1)       # an all-padding column, no rows
+    @example([0, 0], 0, 3, False, 2)         # T = 0
+    @example([0], 1, 0, False, 3)            # B = 1, padding only
+    @example([6], 0, 2, False, 4)            # B = 1, unstacked, rows
+    @example([4, 4, 4], 0, 0, False, 5)      # every step full, no rows
+    @settings(max_examples=80, deadline=None)
+    def test_equals_cached_call(self, lengths, pad, n_rows, stacked, seed):
+        rng = np.random.default_rng(seed)
+        d, h, B, T = 3, 2, len(lengths), max(lengths) + pad
+        stack = (2,) if stacked else ()
+        ps = [make_params(rng, d, h) for _ in range(2)]
+        p = {k: np.stack([ps[0][k], ps[1][k]]) for k in ps[0]} if stacked else ps[0]
+        mask = (np.arange(T)[:, None] < np.array(lengths)[None, :]).astype(float)
+        if n_rows:  # 0 stands for a call without `rows`
+            x, rows = rng.normal(size=(n_rows, d)), rng.integers(0, n_rows, size=(*stack, T, B))
+        else:
+            x, rows = rng.normal(size=(*stack, T, B, d)), None
+
+        want = lstm_forward(p, x, mask, rows=rows)
+        got = lstm_forward(p, x, mask, rows=rows, keep_cache=False)
+        assert got[3] is None and want[3] is not None
+        for a, b in zip(got[:3], want[:3]):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_peak_memory_under_half_of_cached(self):
+        # a tagging-sized stacked call: 100 sentences, the longest 124 tokens
+        rng = np.random.default_rng(0)
+        T, B, d, h, n_rows = 124, 100, 8, 16, 500
+        ps = [make_params(rng, d, h) for _ in range(2)]
+        p = {k: np.stack([ps[0][k], ps[1][k]]) for k in ps[0]}
+        x = rng.normal(size=(n_rows, d))
+        rows = rng.integers(0, n_rows, size=(2, T, B))
+        lengths = rng.integers(1, T + 1, size=B)
+        lengths[0] = T
+        mask = (np.arange(T)[:, None] < lengths[None, :]).astype(float)
+
+        def peak(keep_cache):
+            tracemalloc.start()
+            try:
+                lstm_forward(p, x, mask, rows=rows, keep_cache=keep_cache)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        cached, free = peak(True), peak(False)
+        assert free < cached / 2, (free, cached)

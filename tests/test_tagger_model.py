@@ -1,6 +1,7 @@
 """Model-level tests: feature assembly, full-network gradients, SGD
 arithmetic, the training loop, and checkpoint round trips.
 """
+import importlib
 import json
 import re
 import struct
@@ -363,6 +364,24 @@ class TestEncodedOracle:
         ref, r_history = ref_train(tagged_sentences(), dev, cfg, table, ls, gaz)
         assert history == r_history
         assert np.array_equal(model.params.flat, ref.params.flat)
+
+    def test_dev_gold_mentions_are_decoded_once_per_fit(self, monkeypatch):
+        table, _, ls = tiny_world()
+        dev = as_sentences([[("the", "O"), ("qj", "O"), ("fox", "U-animal")],
+                            [("Gold", "U-metal"), ("is", "O"), ("ZQ", "O")]])
+        modes = []
+
+        def counted(tags, scheme=TagScheme.BILOU, strict=True):
+            modes.append(strict)
+            return tags_to_mentions(tags, scheme, strict)
+
+        for module in ("lexner.evaluation", "lexner.tagger.train"):
+            monkeypatch.setattr(importlib.import_module(module), "tags_to_mentions", counted)
+        _, history = train(tagged_sentences(), dev, tiny_config(max_epochs=3, patience=3),
+                           pretrained=table, ls_table=ls)
+        assert len(history) == 3
+        assert modes.count(True) == len(dev)       # the gold tags, once per fit
+        assert modes.count(False) == 3 * len(dev)  # the predicted tags, once per epoch
 
     def test_each_surface_is_looked_up_once_per_data_set(self, monkeypatch):
         model, sents, ls = repeated_surface_model()
