@@ -34,16 +34,27 @@ def floats(values) -> bytes:
     return np.asarray(values, dtype="<f4").tobytes()
 
 
-class Reader:
-    """Fields read in order from a file's bytes, from offset `at` on."""
+def finite(values: np.ndarray, at: int, what: str) -> np.ndarray:
+    """float32 values read from offset `at`, refusing a non-finite one at its own offset."""
+    ok = np.isfinite(values)
+    if not ok.all():
+        raise FormatError(f"{what} has a non-finite value", at + 4 * int(ok.argmin()))
+    return values
 
-    def __init__(self, data: bytes, at: int = 0):
+
+class Reader:
+    """Fields read in order from a file's bytes, from offset `at` on. When
+    `data` is only a part of the file, `origin` is the file offset of its
+    first byte, and errors give offsets in the file."""
+
+    def __init__(self, data: bytes, at: int = 0, origin: int = 0):
         self.data = memoryview(data)
         self.at = at
+        self.origin = origin
 
     def take(self, n: int, what: str) -> memoryview:
         if self.at + n > len(self.data):
-            raise FormatError(f"truncated {what}", len(self.data))
+            raise FormatError(f"truncated {what}", self.origin + len(self.data))
         self.at += n
         return self.data[self.at - n : self.at]
 
@@ -52,7 +63,7 @@ class Reader:
 
     def header(self, magic: bytes, version: int, what: str, fmt: str) -> tuple:
         """Check the magic and the version byte, then return the fields after them."""
-        at = self.at
+        at = self.origin + self.at
         got, found, *fields = self.unpack(f"{len(magic)}sB" + fmt, f"{what} header")
         if got != magic:
             raise FormatError(f"bad {what} magic {got!r}", at)
@@ -62,7 +73,7 @@ class Reader:
 
     def string(self, what: str) -> str:
         (n,) = self.unpack("H", f"{what} length")
-        at = self.at
+        at = self.origin + self.at
         try:
             return str(self.take(n, what), "utf-8")
         except UnicodeDecodeError:
@@ -70,13 +81,9 @@ class Reader:
 
     def floats(self, count: int, what: str) -> np.ndarray:
         """`count` finite float32 values, as a read-only array over the bytes."""
-        at = self.at
-        values = np.frombuffer(self.take(4 * count, what), dtype="<f4")
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise FormatError(f"{what} has a non-finite value", at + 4 * int(finite.argmin()))
-        return values
+        at = self.origin + self.at
+        return finite(np.frombuffer(self.take(4 * count, what), dtype="<f4"), at, what)
 
     def end(self, what: str) -> None:
         if self.at != len(self.data):
-            raise FormatError(f"trailing bytes after the {what}", self.at)
+            raise FormatError(f"trailing bytes after the {what}", self.origin + self.at)

@@ -436,9 +436,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    seed = args.seed if args.seed is not None else 1
+    if seed < 0:
+        raise DataError("seed must be non-negative")
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else 1
     world = make_world(seed=seed)
     progress_to_stderr(f"synth: generating {args.sentences} distant sentences")
     distant = distant_sentences(world, args.sentences, seed=seed + 1)

@@ -8,9 +8,10 @@ so rare labels survive into the vocabulary.
 """
 from __future__ import annotations
 
-import io
 import math
+import os
 import re
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -26,6 +27,7 @@ FNV_PRIME = 0x01000193
 SUBWORD_MAGIC = b"SUBV"
 SUBWORD_VERSION = 1
 _SUBWORD_FIELDS = "BBIIQ"  # n-gram min and max, bucket count, dim, seed
+_SUBWORD_HEADER_SIZE = len(SUBWORD_MAGIC) + struct.calcsize("<B" + _SUBWORD_FIELDS)
 _SPACE = re.compile(rb"\s*")  # the bytes that bytes.split separates at
 
 
@@ -177,6 +179,8 @@ class EmbedConfig:
             raise DataError("learning_rate must be positive and finite")
         if not 0 <= self.subsample_threshold < math.inf:
             raise DataError("subsample_threshold must be non-negative and finite")
+        if self.seed < 0:
+            raise DataError("seed must be non-negative")
 
 
 class EmbeddingTable:
@@ -294,6 +298,16 @@ def _build_vocab(lines: Sequence[str], cfg: EmbedConfig) -> tuple[list[str], np.
 
 
 class _Trainer:
+    """Skipgram with negative sampling, line by line, window by window.
+
+    A line draws its kept tokens, window radii and every window's negatives
+    up front (`_negatives`). Each window then updates vout, its centre's row
+    and n-gram buckets in place, reading what the window before it wrote;
+    its scores are kept, and the line's loss is one pass over all of them at
+    the end. Vectors, per-line losses and the generator state equal those of
+    drawing and updating context by context, bit for bit.
+    """
+
     def __init__(self, lines: Sequence[str], cfg: EmbedConfig):
         self.cfg = cfg
         self.words, self.counts = _build_vocab(lines, cfg)
@@ -302,21 +316,13 @@ class _Trainer:
             raise DataError(
                 f"{len(self.words)} words survive the frequency cutoff; "
                 "negative sampling needs at least two")
-        self.word_index = {w: i for i, w in enumerate(self.words)}
-        self.lines = [
-            np.array(
-                [self.word_index[w] for w in line.split() if w in self.word_index],
-                dtype=np.int64,
-            )
-            for line in lines
-        ]
+        index = self.word_index = {w: i for i, w in enumerate(self.words)}
+        self.lines = [np.array([index[w] for w in l.split() if w in index], dtype=np.int64)
+                      for l in lines]
 
-        total = self.counts.sum()
-        if cfg.subsample_threshold > 0:
-            ratio = cfg.subsample_threshold * total / self.counts
-            self.keep_prob = np.minimum(1.0, np.sqrt(ratio) + ratio)
-        else:
-            self.keep_prob = np.ones(len(self.words))
+        t = cfg.subsample_threshold  # 0 keeps every token
+        ratio = t * self.counts.sum() / self.counts
+        self.keep_prob = np.minimum(1.0, np.sqrt(ratio) + ratio) if t > 0 else np.ones_like(ratio)
 
         noise = self.counts ** 0.75
         self.noise_cdf = np.cumsum(noise / noise.sum())
@@ -333,10 +339,7 @@ class _Trainer:
         # with no bucket repeated, a word's ufunc.at scatter into gin subtracts
         # once per bucket, which a plain assignment does with the same bits
         self.distinct_ngrams = [np.unique(ids).size == ids.size for ids in self.ngram_ids]
-        # labels of the widest window's rows: 1 for a context word, 0 for a negative
-        labels = np.zeros((2 * cfg.window, 1 + cfg.negatives))
-        labels[:, 0] = 1.0
-        self.labels = labels.ravel()
+        self.dim_range = np.arange(cfg.dim)
 
         self.total_tokens = int(sum(len(l) for l in self.lines)) * cfg.epochs
         self.processed = 0
@@ -351,48 +354,37 @@ class _Trainer:
 
         Consumes the generator exactly as drawing k per context in turn
         would, each draw followed by redraws of the entries equal to that
-        context word: the line's doubles are drawn in one block, and the
-        rare redraws are replayed from the same stream, which is extended
-        only by what the replay still needs.
+        context word. The line's n * k draws come in one block, which is the
+        answer when no draw equals its context word. Otherwise the line is
+        replayed in lists: each context takes the next k draws, and its
+        entries equal to it are replaced, in order, by the draws after them
+        until none is left. The stream is extended only by draws the replay
+        is sure to consume.
         """
         k = self.cfg.negatives
         n = ctx.size
         cdf = self.noise_cdf
-        stream = cdf.searchsorted(rng.random(n * k))
-        equal = stream.reshape(n, k) == ctx[:, None]
-        if not equal.any():
-            return stream.reshape(n, k)
-        hit = equal.any(axis=1)
-
-        def upto(end: int) -> np.ndarray:
-            nonlocal stream
-            if end > stream.size:
-                stream = np.concatenate([stream, cdf.searchsorted(rng.random(end - stream.size))])
-            return stream
-
-        out = np.empty(n * k, dtype=stream.dtype)
-        pos = 0  # next unread entry of stream
-        j = 0  # next context word; hit[i] refers to context j + i
-        while True:
-            clean = int(hit.argmax()) if hit.any() else n - j
-            out[j * k : (j + clean) * k] = stream[pos : pos + clean * k]
-            pos += clean * k
-            j += clean
-            if j == n:
-                return out.reshape(n, k)
-            # context j: redraw its entries equal to it until none is left
-            row = stream[pos : pos + k].tolist()
+        block = cdf.searchsorted(rng.random(n * k)).reshape(n, k)
+        if not np.count_nonzero(block == ctx[:, None]):
+            return block
+        draws = block.ravel().tolist()
+        out = []
+        pos = 0  # next unread draw
+        for j, c in enumerate(ctx.tolist()):
+            row = draws[pos : pos + k]
             pos += k
-            c = int(ctx[j])
-            while c in row:
-                bad = [i for i, v in enumerate(row) if v == c]
-                for i, v in zip(bad, upto(pos + len(bad))[pos : pos + len(bad)].tolist()):
-                    row[i] = v
-                pos += len(bad)
-            out[j * k : (j + 1) * k] = row
-            j += 1
-            block = upto(pos + (n - j) * k)[pos : pos + (n - j) * k]
-            hit = (block.reshape(n - j, k) == ctx[j:, None]).any(axis=1)
+            bad = row.count(c)
+            while bad:
+                # this sweep reads `bad` draws, and every later context k
+                short = pos + bad + (n - 1 - j) * k - len(draws)
+                if short > 0:
+                    draws += cdf.searchsorted(rng.random(short)).tolist()
+                fresh = iter(draws[pos : pos + bad])
+                pos += bad
+                row = [next(fresh) if v == c else v for v in row]
+                bad = row.count(c)
+            out.append(row)
+        return np.array(out, dtype=np.int64)
 
     def _train_line(self, rng: np.random.Generator, ids: np.ndarray) -> tuple[float, int]:
         cfg = self.cfg
@@ -406,33 +398,27 @@ class _Trainer:
         lr = self._lr()
         radii = rng.integers(1, cfg.window + 1, size=n)
 
-        # every window's context words, left then right of its centre,
-        # concatenated in centre order; ends[i] closes window i
+        # every window's context words, left then right of its centre, in
+        # centre order; window i's rows (each context word, then its
+        # negatives) end at ends[i]
+        per = 1 + cfg.negatives
         words = kept.tolist()
         context: list[int] = []
         ends = []
         for pos, r in enumerate(radii.tolist()):
             context += words[max(0, pos - r) : pos]
             context += words[pos + 1 : pos + 1 + r]
-            ends.append(len(context))
+            ends.append(len(context) * per)
         ctx = np.array(context, dtype=np.int64)
 
-        # rows of vout per context word: the word itself, then its negatives
-        per = 1 + cfg.negatives
-        rows_idx = np.empty((ctx.size, per), dtype=np.int64)
-        rows_idx[:, 0] = ctx
-        rows_idx[:, 1:] = self._negatives(rng, ctx)
-        rows_idx = rows_idx.ravel()
+        rows_idx = np.concatenate((ctx[:, None], self._negatives(rng, ctx)), axis=1).ravel()
         dim = cfg.dim
-        flat_idx = (rows_idx[:, None] * dim + np.arange(dim)).ravel()
-        y = self.labels
+        flat_idx = (rows_idx[:, None] * dim + self.dim_range).ravel()
         vin, vout, gin = self.vin, self.vout, self.gin
         vout_flat = vout.reshape(-1)
         ngram_ids, distinct = self.ngram_ids, self.distinct_ngrams
-        loss_sum = 0.0
-        start = 0
-        for center, end in zip(words, ends):
-            a, b = start * per, end * per
+        scores = []  # each window's rows @ h
+        for center, a, b in zip(words, [0, *ends], ends):
             ngrams = ngram_ids[center]
             size = ngrams.size
             row = vin[center]
@@ -440,13 +426,22 @@ class _Trainer:
                 g = gin.take(ngrams, axis=0)
                 h = row + np.add.reduce(g, axis=0) / size
             else:
-                h = row  # read by the kernel before row is updated
+                h = row  # read below before row is updated
+            # the gradient half of negative_sampling_loss; a context word's
+            # label is 1, and subtracting a negative's label 0 changes no bit
             rows = vout.take(rows_idx[a:b], axis=0)
-            loss, dh, drows = negative_sampling_loss(h, rows, y[: b - a])
-            loss_sum += loss
+            s = rows.dot(h)
+            scores.append(s)
+            dscore = sigmoid(s)
+            dscore[::per] -= 1.0
+            dh = dscore.dot(rows)
+            # a column times a row is dscore[:, None] * h but for the sign of
+            # a zero, which vout cannot tell: it starts at +0.0 so never holds -0.0
+            drows = dscore[:, None].dot(h[None, :])
+            drows *= lr
             # flat offsets visit the rows' elements in the order the
             # row-wise scatter would, so repeated rows accumulate alike
-            np.subtract.at(vout_flat, flat_idx[a * dim : b * dim], (lr * drows).ravel())
+            np.subtract.at(vout_flat, flat_idx[a * dim : b * dim], drows.ravel())
             row -= lr * dh
             if size:
                 upd = (lr / size) * dh
@@ -454,7 +449,15 @@ class _Trainer:
                     gin[ngrams] = g - upd
                 else:
                     np.subtract.at(gin, ngrams, upd)
-            start = end
+        # the loss half, once for the line: softplus of -s for a context word
+        # and of s for a negative, summed window by window (x * -1.0 is -x;
+        # numpy 2.4's np.negative from a strided view into itself misreads)
+        losses = np.concatenate(scores)
+        losses[::per] *= -1.0
+        np.logaddexp(0.0, losses, out=losses)
+        loss_sum = 0.0
+        for a, b in zip([0, *ends], ends):
+            loss_sum += float(np.add.reduce(losses[a:b]))
         return loss_sum, len(context)
 
     def run(self) -> None:
@@ -551,11 +554,12 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     (one "word v1 .. v_dim" row per line) as produced by some third-party
     pretrained-embedding releases. A headerless file's rows run to its end,
     where blank lines may trail; a blank line before a row is a bad row. In
-    either layout, only whitespace after the rows means no subword section;
-    a loaded subword matrix is a read-only view of the file's bytes.
+    either layout, only whitespace after the rows means no subword section.
+    A subword matrix is read from the file straight into a read-only array
+    of its own, so no copy of the text rows stays alive with it.
     """
-    data = Path(path).read_bytes()
-    with io.BytesIO(data) as fh:
+    with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         head_fields = fh.readline().split()
         if not head_fields:
             raise FormatError("empty embedding file", 0)
@@ -564,30 +568,42 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         dim = int(head_fields[1]) if headered else len(head_fields) - 1
         if dim < 1:
             raise FormatError(f"embedding dimension must be at least 1, got {dim}", 0)
-        count, end = (int(head_fields[0]), len(data)) if headered else (None, len(data.rstrip()))
+        count = int(head_fields[0]) if headered else None
         if not headered:
             fh.seek(0)
         words: list[str] = []
         rows: list[list[float]] = []
         offsets: list[int] = []
-        while len(rows) != count and fh.tell() < end:
-            offsets.append(fh.tell())
-            w, vec = _parse_row(fh.readline().split(), dim, len(rows), offsets[-1])
+        while len(rows) != count:
+            at = fh.tell()
+            line = fh.readline()
+            if headered and not line:
+                raise FormatError(f"truncated embedding file: row {len(rows)} missing", at)
+            if not headered and _SPACE.fullmatch(line) and _SPACE.fullmatch(fh.read()):
+                break  # only whitespace is left
+            offsets.append(at)
+            w, vec = _parse_row(line.split(), dim, len(rows), at)
             words.append(w)
             rows.append(vec)
-        if headered and len(rows) < count:
-            raise FormatError(f"truncated embedding file: row {len(rows)} missing", end)
         vectors = _finite_rows(rows, offsets)
-        r = binfile.Reader(data, fh.tell())
-    if _SPACE.fullmatch(data, r.at):  # whitespace after the rows: no subword section
-        return EmbeddingTable(words, vectors)
-    section = r.at
-    nmin, nmax, nbuckets, sdim, seed = r.header(
-        SUBWORD_MAGIC, SUBWORD_VERSION, "subword section", _SUBWORD_FIELDS)
-    if sdim != dim or not nbuckets or not 0 < nmin <= nmax:
-        raise FormatError(
-            f"bad subword header: dim {sdim} for vectors of dim {dim}, {nbuckets} buckets, "
-            f"n-grams [{nmin}, {nmax}]", section)
-    buckets = r.floats(nbuckets * dim, "subword bucket data").reshape(nbuckets, dim)
-    r.end("subword bucket data")
+        section = fh.tell()
+        r = binfile.Reader(fh.read(_SUBWORD_HEADER_SIZE), origin=section)
+        if _SPACE.fullmatch(r.data) and _SPACE.fullmatch(fh.read()):
+            return EmbeddingTable(words, vectors)  # whitespace after the rows
+        nmin, nmax, nbuckets, sdim, seed = r.header(
+            SUBWORD_MAGIC, SUBWORD_VERSION, "subword section", _SUBWORD_FIELDS)
+        if sdim != dim or not nbuckets or not 0 < nmin <= nmax:
+            raise FormatError(
+                f"bad subword header: dim {sdim} for vectors of dim {dim}, {nbuckets} buckets, "
+                f"n-grams [{nmin}, {nmax}]", section)
+        at = fh.tell()
+        if file_size - at < 4 * nbuckets * dim:  # checked before anything is allocated
+            raise FormatError("truncated subword bucket data", file_size)
+        buckets = np.empty((nbuckets, dim), dtype="<f4")
+        if fh.readinto(memoryview(buckets).cast("B")) < buckets.nbytes:  # the file shrank
+            raise FormatError("truncated subword bucket data", fh.tell())
+        binfile.finite(buckets, at, "subword bucket data")
+        if fh.read(1):
+            raise FormatError("trailing bytes after the subword bucket data", at + buckets.nbytes)
+    buckets.flags.writeable = False
     return EmbeddingTable(words, vectors, buckets, ngram_min=nmin, ngram_max=nmax, seed=seed)

@@ -94,6 +94,8 @@ class TaggerConfig:
             raise DataError("learning_rate and clip_norm must be positive and finite")
         if not (0.0 <= self.momentum < 1.0):
             raise DataError("momentum must be in [0, 1)")
+        if self.seed < 0:
+            raise DataError("seed must be non-negative")
 
     def uses(self, feature: str) -> bool:
         return feature in self.features
@@ -370,7 +372,7 @@ class TaggerModel:
     # -- feature assembly ---------------------------------------------------
 
     def word_id(self, surface: str) -> int:
-        return self.word_index.get(surface, 0)
+        return self.word_index.get(surface.lower(), 0)  # the pretrained vocabulary is lowercased
 
     def char_ids(self, surface: str) -> list[int]:
         return [self.char_index.get(c, 0) for c in surface]
@@ -704,7 +706,10 @@ def _read_header(blob: bytes) -> dict:
     mistyped = [k for k, t in known.items() if type(config[k]) not in _CONFIG_JSON_TYPES[t]]
     if mistyped:
         raise bad(f"config fields of the wrong type {mistyped}")
-    header["config"] = TaggerConfig(**config)
+    try:
+        header["config"] = TaggerConfig(**config)
+    except DataError as exc:  # a value out of its range
+        raise bad(str(exc)) from None
     for key in ("tags", "chars", "words"):
         if not _is_str_list(header[key]):
             raise bad(f"{key} is not a list of strings")

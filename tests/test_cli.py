@@ -631,6 +631,28 @@ class TestExitCodes:
                      "--set", f"{key}=nan"]) == 2
         assert "must be" in capsys.readouterr().err and not (tmp_path / "v.vec").exists()
 
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--set", "embed.seed=-5"]])
+    def test_negative_embed_seed(self, tmp_path, capsys, flags):
+        src = tmp_path / "in.txt"
+        src.write_text("a b\n")
+        assert main(["train-embed", "--input", str(src), "--output", str(tmp_path / "v.vec"),
+                     *flags]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "v.vec").exists()
+
+    def test_negative_synth_seed(self, tmp_path, capsys):
+        assert main(["synth", "--output", str(tmp_path / "out"), "--seed", "-1"]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_tagger_seed(self, bins, tmp_path, capsys):
+        out = tmp_path / "model.ckpt"
+        assert main(["train-ner", "--train", str(bins / "train.txt"), "--dev", str(bins / "train.txt"),
+                     "--output", str(out), "--embeddings", str(bins / "vectors.vec"),
+                     "--ls-table", str(bins / "table.lstb"), *TINY_FLAGS,
+                     "--set", "tagger.seed=-1"]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err and not out.exists()
+
     def test_train_ner_with_an_empty_dev_set(self, bins, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("")

@@ -191,6 +191,7 @@ class TestConfig:
         {"learning_rate": float("inf")},
         {"subsample_threshold": float("nan")},
         {"subsample_threshold": float("inf")},
+        {"seed": -1},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(DataError):
@@ -339,9 +340,9 @@ def run_recorded(cls, lines, cfg):
     return trainer, record
 
 
-def assert_same_training(lines, cfg):
+def assert_same_training(lines, cfg, ref_cls=RefTrainer):
     got, got_record = run_recorded(embed._Trainer, lines, cfg)
-    ref, ref_record = run_recorded(RefTrainer, lines, cfg)
+    ref, ref_record = run_recorded(ref_cls, lines, cfg)
     assert got.vin.tobytes() == ref.vin.tobytes()
     assert got.gin.tobytes() == ref.gin.tobytes()
     assert got.vout.tobytes() == ref.vout.tobytes()
@@ -407,6 +408,8 @@ class TestExactTrainer:
     @given(_training_setups())
     @settings(max_examples=150, deadline=None)
     @example((["", "a", "a b", "b a a", ""], small_config(min_count=1, window=1, negatives=1)))
+    # "a" is most noise draws: contexts redraw in many rounds, mid-line and at its end
+    @example((["a a a a a b a a", "b a"], small_config(min_count=1, window=2, negatives=3)))
     def test_bitwise_equal_to_per_context_reference(self, setup):
         lines, cfg = setup
         try:
@@ -435,6 +438,24 @@ class TestExactTrainer:
         assert ref.redraws > 0
         assert not all(trainer.distinct_ngrams)
         assert any(trainer.distinct_ngrams)
+
+    def test_context_redrawn_in_many_rounds(self):
+        # "a" is about nine noise draws in ten, so a context "a" redraws most
+        # of its k entries round after round; every redraw reads past the
+        # line's first block of n * k draws, and so do the contexts after it
+        rounds = []
+
+        class Rounds(RefTrainer):
+            def _draw_negatives(self, rng, target, k):
+                before = self.redraws
+                negs = super()._draw_negatives(rng, target, k)
+                rounds.append(self.redraws - before)
+                return negs
+
+        lines = ["a a a a a a a a a b"] * 3
+        assert_same_training(lines, small_config(min_count=1, negatives=4, window=2, epochs=1),
+                             ref_cls=Rounds)
+        assert max(rounds) > 10 and rounds.count(0) > 0
 
     def test_one_and_no_token_lines_consume_what_the_reference_does(self):
         lines = ["", "aaa", "aaa bbb", "bbb", "  ", "aaa bbb aaa"] * 4
@@ -699,12 +720,13 @@ class TestSubwordSection:
                 load_embeddings(p)
             assert err.value.offset == value
 
-    def test_loaded_matrix_is_a_read_only_view(self, tmp_path):
+    def test_loaded_matrix_is_read_only_and_owns_its_data(self, tmp_path):
+        # no view over the file's bytes, which would keep the text rows alive
         p = tmp_path / "vec.bin"
         subword_file(p)
         buckets = load_embeddings(p).bucket_vectors
         assert buckets.shape == (31, 4) and buckets.dtype == np.float32
-        assert not buckets.flags.owndata and not buckets.flags.writeable
+        assert buckets.flags.owndata and buckets.flags.aligned and not buckets.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             buckets[0, 0] = 1.0
 

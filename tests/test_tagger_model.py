@@ -122,6 +122,16 @@ class TestAssembly:
         np.testing.assert_allclose(a, model.params["cap_emb"][1])  # all lower
         np.testing.assert_allclose(b, model.params["cap_emb"][2])  # upper first
 
+    def test_word_lookup_ignores_case(self):
+        # the pretrained vocabulary is lowercased, as the dual corpus is
+        model, _, _ = build_tiny_model()
+        assert model.word_id("The") == model.word_id("THE") == model.word_id("the") != 0
+        encoded = model.encode([Sentence.from_words(["The", "Fox", "saw", "THE", "fox"])])
+        lower = model.encode([Sentence.from_words(["the", "fox", "saw", "the", "fox"])])
+        at = encoded.table["word_ids"][encoded.surface_ids]
+        assert at.tolist() == lower.table["word_ids"][lower.surface_ids].tolist()
+        assert at.tolist() == [model.word_id(w) for w in ["the", "fox", "saw", "the", "fox"]]
+
     def test_unknown_ids_map_to_zero(self):
         model, _, _ = build_tiny_model()
         assert model.word_id("never-seen") == 0
@@ -159,6 +169,7 @@ class TestAssembly:
         ("momentum", -0.1, "momentum must be in [0, 1)"),
         ("patience", 0, "patience must be positive"),
         ("word_hidden", float("nan"), "word_hidden must be positive"),
+        ("seed", -1, "seed must be non-negative"),
     ])
     def test_config_names_the_field_out_of_range(self, name, value, message):
         with pytest.raises(DataError, match=re.escape(message)):

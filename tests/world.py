@@ -90,6 +90,9 @@ BAD_CHECKPOINT_HEADERS = {
     "mistyped_word_dim": lambda h: {**h, "word_dim": "6"},
     "negative_word_dim": lambda h: {**h, "word_dim": -1},
     "mistyped_gazetteer": lambda h: {**h, "gazetteer": {"metals": "iron"}},
+    "config_value_out_of_range": lambda h: {**h, "config": {**h["config"], "batch_size": 0}},
+    "config_probability_out_of_range": lambda h: {**h, "config": {**h["config"], "dropout_prob": 2.0}},
+    "negative_config_seed": lambda h: {**h, "config": {**h["config"], "seed": -1}},
 }
 
 
