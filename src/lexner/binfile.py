@@ -23,6 +23,11 @@ def header(magic: bytes, version: int, fmt: str, *values) -> bytes:
     return magic + pack("B" + fmt, version, *values)
 
 
+def header_size(magic: bytes, fmt: str) -> int:
+    """Bytes in a header that `header(magic, version, fmt, ...)` writes."""
+    return len(magic) + struct.calcsize("<B" + fmt)
+
+
 def string(s: str) -> bytes:
     b = s.encode("utf-8")
     if len(b) > 0xFFFF:

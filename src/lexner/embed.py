@@ -8,13 +8,14 @@ so rare labels survive into the vocabulary.
 """
 from __future__ import annotations
 
+import io
 import math
 import os
 import re
-import struct
+import stat
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +28,7 @@ FNV_PRIME = 0x01000193
 SUBWORD_MAGIC = b"SUBV"
 SUBWORD_VERSION = 1
 _SUBWORD_FIELDS = "BBIIQ"  # n-gram min and max, bucket count, dim, seed
-_SUBWORD_HEADER_SIZE = len(SUBWORD_MAGIC) + struct.calcsize("<B" + _SUBWORD_FIELDS)
+_SUBWORD_HEADER_SIZE = binfile.header_size(SUBWORD_MAGIC, _SUBWORD_FIELDS)
 _SPACE = re.compile(rb"\s*")  # the bytes that bytes.split separates at
 
 
@@ -269,20 +270,20 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def negative_sampling_loss(
     h: np.ndarray, rows: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Binary logistic loss of output rows against one composed input.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scores and gradients of the binary logistic loss of output rows
+    against one composed input.
 
     rows is (n, dim), y is (n,) with 1 for observed context rows and 0 for
-    noise rows. Returns (loss, dloss/dh, dloss/drows). Written in softplus
-    form so large scores cannot overflow.
+    noise rows. The loss is the sum of softplus(-s) over observed rows and
+    softplus(s) over noise rows, s = rows @ h; this returns (s, dloss/dh,
+    dloss/drows) and leaves the loss to the caller, which the trainer takes
+    for a whole line's scores at once. No exp here can overflow.
     """
-    s = rows @ h
-    signed = np.where(y > 0, -s, s)
-    loss = float(np.add.reduce(np.logaddexp(0.0, signed)))
+    s = rows.dot(h)
     dscore = sigmoid(s) - y
-    dh = rows.T @ dscore
-    drows = dscore[:, None] * h
-    return loss, dh, drows
+    # a column times a row is dscore[:, None] * h but for the sign of a zero
+    return s, dscore.dot(rows), dscore[:, None].dot(h[None, :])
 
 
 def _build_vocab(lines: Sequence[str], cfg: EmbedConfig) -> tuple[list[str], np.ndarray]:
@@ -300,12 +301,10 @@ def _build_vocab(lines: Sequence[str], cfg: EmbedConfig) -> tuple[list[str], np.
 class _Trainer:
     """Skipgram with negative sampling, line by line, window by window.
 
-    A line draws its kept tokens, window radii and every window's negatives
-    up front (`_negatives`). Each window then updates vout, its centre's row
-    and n-gram buckets in place, reading what the window before it wrote;
-    its scores are kept, and the line's loss is one pass over all of them at
-    the end. Vectors, per-line losses and the generator state equal those of
-    drawing and updating context by context, bit for bit.
+    A line draws every window's negatives up front (`_negatives`); each
+    window then updates vout, its centre's row and n-gram buckets in place,
+    and the line's loss is one pass over its windows' scores. The bits equal
+    those of drawing and updating context by context.
     """
 
     def __init__(self, lines: Sequence[str], cfg: EmbedConfig):
@@ -316,13 +315,21 @@ class _Trainer:
             raise DataError(
                 f"{len(self.words)} words survive the frequency cutoff; "
                 "negative sampling needs at least two")
-        index = self.word_index = {w: i for i, w in enumerate(self.words)}
-        self.lines = [np.array([index[w] for w in l.split() if w in index], dtype=np.int64)
-                      for l in lines]
+        self.word_index = {w: i for i, w in enumerate(self.words)}
+        self.lines = [
+            np.array(
+                [self.word_index[w] for w in line.split() if w in self.word_index],
+                dtype=np.int64,
+            )
+            for line in lines
+        ]
 
-        t = cfg.subsample_threshold  # 0 keeps every token
-        ratio = t * self.counts.sum() / self.counts
-        self.keep_prob = np.minimum(1.0, np.sqrt(ratio) + ratio) if t > 0 else np.ones_like(ratio)
+        total = self.counts.sum()
+        if cfg.subsample_threshold > 0:
+            ratio = cfg.subsample_threshold * total / self.counts
+            self.keep_prob = np.minimum(1.0, np.sqrt(ratio) + ratio)
+        else:
+            self.keep_prob = np.ones(len(self.words))
 
         noise = self.counts ** 0.75
         self.noise_cdf = np.cumsum(noise / noise.sum())
@@ -339,6 +346,10 @@ class _Trainer:
         # with no bucket repeated, a word's ufunc.at scatter into gin subtracts
         # once per bucket, which a plain assignment does with the same bits
         self.distinct_ngrams = [np.unique(ids).size == ids.size for ids in self.ngram_ids]
+        # labels of the widest window's rows: 1 for a context word, 0 for a negative
+        labels = np.zeros((2 * cfg.window, 1 + cfg.negatives))
+        labels[:, 0] = 1.0
+        self.labels = labels.ravel()
         self.dim_range = np.arange(cfg.dim)
 
         self.total_tokens = int(sum(len(l) for l in self.lines)) * cfg.epochs
@@ -354,12 +365,10 @@ class _Trainer:
 
         Consumes the generator exactly as drawing k per context in turn
         would, each draw followed by redraws of the entries equal to that
-        context word. The line's n * k draws come in one block, which is the
-        answer when no draw equals its context word. Otherwise the line is
-        replayed in lists: each context takes the next k draws, and its
-        entries equal to it are replaced, in order, by the draws after them
-        until none is left. The stream is extended only by draws the replay
-        is sure to consume.
+        context word. The line's n * k draws come in one block; when one
+        equals its context word, the line is replayed in lists, the bad
+        entries replaced in order by the draws after them, and the stream
+        extended only by draws the replay is sure to consume.
         """
         k = self.cfg.negatives
         n = ctx.size
@@ -398,9 +407,8 @@ class _Trainer:
         lr = self._lr()
         radii = rng.integers(1, cfg.window + 1, size=n)
 
-        # every window's context words, left then right of its centre, in
-        # centre order; window i's rows (each context word, then its
-        # negatives) end at ends[i]
+        # every window's context words, left then right of its centre, in centre
+        # order; ends[i] closes window i's rows: each context word, then its negatives
         per = 1 + cfg.negatives
         words = kept.tolist()
         context: list[int] = []
@@ -417,6 +425,7 @@ class _Trainer:
         vin, vout, gin = self.vin, self.vout, self.gin
         vout_flat = vout.reshape(-1)
         ngram_ids, distinct = self.ngram_ids, self.distinct_ngrams
+        y = self.labels
         scores = []  # each window's rows @ h
         for center, a, b in zip(words, [0, *ends], ends):
             ngrams = ngram_ids[center]
@@ -426,19 +435,11 @@ class _Trainer:
                 g = gin.take(ngrams, axis=0)
                 h = row + np.add.reduce(g, axis=0) / size
             else:
-                h = row  # read below before row is updated
-            # the gradient half of negative_sampling_loss; a context word's
-            # label is 1, and subtracting a negative's label 0 changes no bit
+                h = row  # read by the kernel before row is updated
             rows = vout.take(rows_idx[a:b], axis=0)
-            s = rows.dot(h)
+            s, dh, drows = negative_sampling_loss(h, rows, y[: b - a])
             scores.append(s)
-            dscore = sigmoid(s)
-            dscore[::per] -= 1.0
-            dh = dscore.dot(rows)
-            # a column times a row is dscore[:, None] * h but for the sign of
-            # a zero, which vout cannot tell: it starts at +0.0 so never holds -0.0
-            drows = dscore[:, None].dot(h[None, :])
-            drows *= lr
+            drows *= lr  # the sign of a zero is lost on vout, which never holds -0.0
             # flat offsets visit the rows' elements in the order the
             # row-wise scatter would, so repeated rows accumulate alike
             np.subtract.at(vout_flat, flat_idx[a * dim : b * dim], drows.ravel())
@@ -556,54 +557,64 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     where blank lines may trail; a blank line before a row is a bad row. In
     either layout, only whitespace after the rows means no subword section.
     A subword matrix is read from the file straight into a read-only array
-    of its own, so no copy of the text rows stays alive with it.
+    of its own, so no copy of the text rows stays alive with it. A path that
+    cannot seek, such as a pipe, is read whole first.
     """
     with open(path, "rb") as fh:
-        file_size = os.fstat(fh.fileno()).st_size
-        head_fields = fh.readline().split()
-        if not head_fields:
-            raise FormatError("empty embedding file", 0)
-        headered = len(head_fields) == 2 and head_fields[0].isdigit() and head_fields[1].isdigit()
-        # a headerless file's first row gives the dimension
-        dim = int(head_fields[1]) if headered else len(head_fields) - 1
-        if dim < 1:
-            raise FormatError(f"embedding dimension must be at least 1, got {dim}", 0)
-        count = int(head_fields[0]) if headered else None
-        if not headered:
-            fh.seek(0)
-        words: list[str] = []
-        rows: list[list[float]] = []
-        offsets: list[int] = []
-        while len(rows) != count:
-            at = fh.tell()
-            line = fh.readline()
-            if headered and not line:
-                raise FormatError(f"truncated embedding file: row {len(rows)} missing", at)
-            if not headered and _SPACE.fullmatch(line) and _SPACE.fullmatch(fh.read()):
-                break  # only whitespace is left
-            offsets.append(at)
-            w, vec = _parse_row(line.split(), dim, len(rows), at)
-            words.append(w)
-            rows.append(vec)
-        vectors = _finite_rows(rows, offsets)
-        section = fh.tell()
-        r = binfile.Reader(fh.read(_SUBWORD_HEADER_SIZE), origin=section)
-        if _SPACE.fullmatch(r.data) and _SPACE.fullmatch(fh.read()):
-            return EmbeddingTable(words, vectors)  # whitespace after the rows
-        nmin, nmax, nbuckets, sdim, seed = r.header(
-            SUBWORD_MAGIC, SUBWORD_VERSION, "subword section", _SUBWORD_FIELDS)
-        if sdim != dim or not nbuckets or not 0 < nmin <= nmax:
-            raise FormatError(
-                f"bad subword header: dim {sdim} for vectors of dim {dim}, {nbuckets} buckets, "
-                f"n-grams [{nmin}, {nmax}]", section)
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            return _read_embeddings(fh, info.st_size)
+        data = fh.read()
+    with io.BytesIO(data) as fh:
+        return _read_embeddings(fh, len(data))
+
+
+def _read_embeddings(fh: BinaryIO, file_size: int) -> EmbeddingTable:
+    """`load_embeddings` from a seekable file object of `file_size` bytes."""
+    head_fields = fh.readline().split()
+    if not head_fields:
+        raise FormatError("empty embedding file", 0)
+    headered = len(head_fields) == 2 and head_fields[0].isdigit() and head_fields[1].isdigit()
+    # a headerless file's first row gives the dimension
+    dim = int(head_fields[1]) if headered else len(head_fields) - 1
+    if dim < 1:
+        raise FormatError(f"embedding dimension must be at least 1, got {dim}", 0)
+    count = int(head_fields[0]) if headered else None
+    if not headered:
+        fh.seek(0)
+    words: list[str] = []
+    rows: list[list[float]] = []
+    offsets: list[int] = []
+    while len(rows) != count:
         at = fh.tell()
-        if file_size - at < 4 * nbuckets * dim:  # checked before anything is allocated
-            raise FormatError("truncated subword bucket data", file_size)
-        buckets = np.empty((nbuckets, dim), dtype="<f4")
-        if fh.readinto(memoryview(buckets).cast("B")) < buckets.nbytes:  # the file shrank
-            raise FormatError("truncated subword bucket data", fh.tell())
-        binfile.finite(buckets, at, "subword bucket data")
-        if fh.read(1):
-            raise FormatError("trailing bytes after the subword bucket data", at + buckets.nbytes)
+        line = fh.readline()
+        if headered and not line:
+            raise FormatError(f"truncated embedding file: row {len(rows)} missing", at)
+        if not headered and _SPACE.fullmatch(line) and _SPACE.fullmatch(fh.read()):
+            break  # only whitespace is left
+        offsets.append(at)
+        w, vec = _parse_row(line.split(), dim, len(rows), at)
+        words.append(w)
+        rows.append(vec)
+    vectors = _finite_rows(rows, offsets)
+    section = fh.tell()
+    r = binfile.Reader(fh.read(_SUBWORD_HEADER_SIZE), origin=section)
+    if _SPACE.fullmatch(r.data) and _SPACE.fullmatch(fh.read()):
+        return EmbeddingTable(words, vectors)  # whitespace after the rows
+    nmin, nmax, nbuckets, sdim, seed = r.header(
+        SUBWORD_MAGIC, SUBWORD_VERSION, "subword section", _SUBWORD_FIELDS)
+    if sdim != dim or not nbuckets or not 0 < nmin <= nmax:
+        raise FormatError(
+            f"bad subword header: dim {sdim} for vectors of dim {dim}, {nbuckets} buckets, "
+            f"n-grams [{nmin}, {nmax}]", section)
+    at = fh.tell()
+    if file_size - at < 4 * nbuckets * dim:  # checked before anything is allocated
+        raise FormatError("truncated subword bucket data", file_size)
+    buckets = np.empty((nbuckets, dim), dtype="<f4")
+    if fh.readinto(memoryview(buckets).cast("B")) < buckets.nbytes:  # the file shrank
+        raise FormatError("truncated subword bucket data", fh.tell())
+    binfile.finite(buckets, at, "subword bucket data")
+    if fh.read(1):
+        raise FormatError("trailing bytes after the subword bucket data", at + buckets.nbytes)
     buckets.flags.writeable = False
     return EmbeddingTable(words, vectors, buckets, ngram_min=nmin, ngram_max=nmax, seed=seed)

@@ -300,7 +300,11 @@ class TaggerModel:
         self.chars = list(chars)
         self.char_index = {c: i + 1 for i, c in enumerate(self.chars)}  # 0 = UNK
         self.words = list(words)  # pretrained vocab; row 0 of word_emb is UNK
-        self.word_index = {w: i + 1 for i, w in enumerate(self.words)}
+        # lookups are lowercased, as every pretrained-vocabulary lookup is; of
+        # a cased vocabulary's case variants the first row is the one read
+        self.word_index: dict[str, int] = {}
+        for i, w in enumerate(self.words):
+            self.word_index.setdefault(w.lower(), i + 1)
         self.word_dim = word_dim
         self.ls_table = ls_table
         self.gazetteer = gazetteer
@@ -372,7 +376,7 @@ class TaggerModel:
     # -- feature assembly ---------------------------------------------------
 
     def word_id(self, surface: str) -> int:
-        return self.word_index.get(surface.lower(), 0)  # the pretrained vocabulary is lowercased
+        return self.word_index.get(surface.lower(), 0)
 
     def char_ids(self, surface: str) -> list[int]:
         return [self.char_index.get(c, 0) for c in surface]

@@ -1,3 +1,5 @@
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -198,39 +200,62 @@ class TestConfig:
             EmbedConfig(**kw)
 
 
+def window_loss(s, y):
+    """The logistic loss of a window's scores: softplus(-s) where y is 1, softplus(s) where 0."""
+    return float(np.sum(np.logaddexp(0.0, np.where(y > 0, -s, s))))
+
+
 class TestNegativeSamplingLoss:
-    def test_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(3)
-        dim, n = 7, 12
+    def window(self, seed=3, dim=7, n=12):
+        rng = np.random.default_rng(seed)
         h = rng.normal(size=dim)
         rows = rng.normal(size=(n, dim))
         y = (rng.random(n) < 0.3).astype(float)
         y[0] = 1.0
-        _, dh, drows = negative_sampling_loss(h, rows, y)
+        return h, rows, y
+
+    def test_gradients_match_finite_differences(self):
+        h, rows, y = self.window()
+        s, dh, drows = negative_sampling_loss(h, rows, y)
+        assert s.tobytes() == (rows @ h).tobytes()
+
+        def loss(h, rows):
+            return window_loss(negative_sampling_loss(h, rows, y)[0], y)
 
         eps = 1e-6
-        for i in range(dim):
+        for i in range(h.size):
             hp, hm = h.copy(), h.copy()
             hp[i] += eps
             hm[i] -= eps
-            num = (negative_sampling_loss(hp, rows, y)[0]
-                   - negative_sampling_loss(hm, rows, y)[0]) / (2 * eps)
+            num = (loss(hp, rows) - loss(hm, rows)) / (2 * eps)
             assert abs(num - dh[i]) <= 1e-4 * max(1.0, abs(num))
-        for i in range(n):
-            for j in range(dim):
+        for i in range(rows.shape[0]):
+            for j in range(h.size):
                 rp, rm = rows.copy(), rows.copy()
                 rp[i, j] += eps
                 rm[i, j] -= eps
-                num = (negative_sampling_loss(h, rp, y)[0]
-                       - negative_sampling_loss(h, rm, y)[0]) / (2 * eps)
+                num = (loss(h, rp) - loss(h, rm)) / (2 * eps)
                 assert abs(num - drows[i, j]) <= 1e-4 * max(1.0, abs(num))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradients_equal_the_reference_kernel(self, seed):
+        # equal values; only the sign of a zero row gradient may differ
+        h, rows, y = self.window(seed, dim=16, n=36)
+        rows[3] = 0.0
+        s, dh, drows = negative_sampling_loss(h, rows, y)
+        loss, ref_dh, ref_drows = ref_negative_sampling_loss(h, rows, y)
+        assert window_loss(s, y) == loss
+        assert dh.tobytes() == ref_dh.tobytes()
+        np.testing.assert_array_equal(drows, ref_drows)
 
     def test_no_overflow_on_large_scores(self):
         h = np.full(4, 100.0)
         rows = np.vstack([np.full(4, 100.0), np.full(4, -100.0)])
         y = np.array([1.0, 0.0])
-        loss, dh, drows = negative_sampling_loss(h, rows, y)
-        assert np.isfinite(loss) and np.all(np.isfinite(dh)) and np.all(np.isfinite(drows))
+        with np.errstate(over="raise", invalid="raise"):
+            s, dh, drows = negative_sampling_loss(h, rows, y)
+        assert np.isfinite(window_loss(s, y)) and np.all(np.isfinite(dh))
+        assert np.all(np.isfinite(drows))
 
 
 def tiny_corpus() -> list[str]:
@@ -684,6 +709,23 @@ def subword_file(path, buckets=31, dim=4):
     return bytearray(data), data.index(embed.SUBWORD_MAGIC)
 
 
+def load_through_pipe(tmp_path, data):
+    """load_embeddings on a FIFO that another thread fills with data."""
+    fifo = tmp_path / "vec.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return load_embeddings(fifo)
+    finally:
+        writer.join(timeout=10)
+
+
 class TestSubwordSection:
     def test_huge_bucket_count_is_truncation_not_an_allocation(self, tmp_path):
         p = tmp_path / "vec.bin"
@@ -729,6 +771,27 @@ class TestSubwordSection:
         assert buckets.flags.owndata and buckets.flags.aligned and not buckets.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             buckets[0, 0] = 1.0
+
+    def test_loads_through_a_pipe(self, tmp_path):
+        subword_file(tmp_path / "vec.bin")
+        data = (tmp_path / "vec.bin").read_bytes()
+        want = load_embeddings(tmp_path / "vec.bin")
+        got = load_through_pipe(tmp_path, data)
+        assert got.words == want.words
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+        assert got.bucket_vectors.tobytes() == want.bucket_vectors.tobytes()
+        assert not got.bucket_vectors.flags.writeable
+
+    def test_truncated_pipe_rejected_at_the_offset_of_a_file(self, tmp_path):
+        p = tmp_path / "vec.bin"
+        raw, _ = subword_file(p)
+        cut = bytes(raw[:-32])
+        p.write_bytes(cut)
+        with pytest.raises(FormatError, match="truncated subword bucket data") as want:
+            load_embeddings(p)
+        with pytest.raises(FormatError, match="truncated subword bucket data") as got:
+            load_through_pipe(tmp_path, cut)
+        assert got.value.offset == want.value.offset == len(cut)
 
     def test_reloaded_word_vectors_are_bitwise_equal(self, tmp_path):
         table = train_skipgram(tiny_corpus(), small_config())

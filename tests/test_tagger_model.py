@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexner.corpus import Sentence, TagScheme, TypeInventory, tags_to_mentions
-from lexner.embed import EmbeddingTable
+from lexner.embed import EmbeddingTable, load_embeddings
 from lexner.errors import DataError, FormatError, LexnerError, NumericalError
 from lexner.evaluation import evaluate
 from lexner.lexsim import LSTable, build_ls_table
@@ -131,6 +131,18 @@ class TestAssembly:
         at = encoded.table["word_ids"][encoded.surface_ids]
         assert at.tolist() == lower.table["word_ids"][lower.surface_ids].tolist()
         assert at.tolist() == [model.word_id(w) for w in ["the", "fox", "saw", "the", "fox"]]
+
+    def test_cased_vocabulary_is_read_lowercased(self, tmp_path):
+        # a cased vector file: "Paris" is read by any case of it, and of
+        # "Paris" and "paris" the first row wins
+        p = tmp_path / "cased.vec"
+        p.write_text("Paris 1 2\nthe 3 4\nparis 5 6\nUSA 7 8\n")
+        table = load_embeddings(p)
+        model = TaggerModel.build(tiny_config(features=("word_emb",)), ["O"], ["a"],
+                                  pretrained=table)
+        assert [model.word_id(w) for w in ["Paris", "paris", "PARIS", "the", "usa", "USA"]] \
+            == [1, 1, 1, 2, 4, 4]
+        assert model.params["word_emb"][model.word_id("paris")].tolist() == [1.0, 2.0]
 
     def test_unknown_ids_map_to_zero(self):
         model, _, _ = build_tiny_model()
