@@ -108,6 +108,8 @@ def apply_config_pair(cfg: PipelineConfig, key: str, raw: str) -> None:
     if dot and section == "paths":
         if name not in _PATH_KEYS:
             raise UsageError(f"unknown config key: {key!r}")
+        if "\0" in raw:  # no file system takes it; open() would raise ValueError
+            raise UsageError(f"{key}: a path cannot contain a NUL character")
         cfg.paths[name] = raw.strip()
         return
     if dot and section in ("embed", "tagger"):

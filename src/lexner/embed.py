@@ -196,6 +196,7 @@ class EmbeddingTable:
     * no usable pieces at all: a zero vector
 
     Queries are lowercased; the training corpus is lowercased to match.
+    `word_index` maps lowercased words to rows, a word's first case variant's.
     A table loaded from a plain text file has no bucket vectors and falls
     back to stored rows only.
     """
@@ -214,8 +215,10 @@ class EmbeddingTable:
         if len(words) != vectors.shape[0]:
             raise DataError(f"{len(words)} words but {vectors.shape[0]} vector rows")
         self.words = list(words)
-        self.word_index = {w: i for i, w in enumerate(self.words)}
-        if len(self.word_index) != len(self.words):
+        lowered = [w.lower() for w in self.words]
+        # built from the last row back, so a word's first case variant is kept
+        self.word_index = dict(zip(reversed(lowered), range(len(lowered) - 1, -1, -1)))
+        if len(self.word_index) < len(lowered) and len(set(self.words)) < len(self.words):
             raise DataError("duplicate words in embedding table")
         self.vectors = vectors
         self.bucket_vectors = (

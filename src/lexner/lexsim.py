@@ -32,7 +32,7 @@ LS_VERSION = 1
 def _type_matrix(table: EmbeddingTable, inventory: TypeInventory) -> tuple[np.ndarray, np.ndarray]:
     """Stacked type embeddings and their norms; all labels must be known."""
     for label in inventory:
-        if label not in table.word_index:
+        if label not in table:
             raise DataError(f"type embedding missing from table: {label!r}")
     t = table.word_vectors(inventory.labels).astype(np.float64)
     return t, _row_norms(t)

@@ -13,7 +13,12 @@ tokens rows of the distinct surfaces). Without `rows`, x is the (T, B, D)
 batch itself, one row per position.
 
 Gate layout along the last axis of the parameter matrices: input, forget,
-candidate, output. Sigmoid on i/f/o, tanh on the candidate.
+candidate, output. Sigmoid on i/f/o, tanh on the candidate. Each call
+multiplies the i/f/o columns of wx, wh and b by 0.5: halving every term of
+a sum halves it exactly, in any order of addition, so one tanh over a
+step's (..., 4H) block gives tanh(x / 2) on i/f/o, which +1 and x0.5 finish
+into `_sigmoid(x)` bit for bit, and tanh(x) on the candidate. The candidate
+is kept aside during that finish and copied back when there is a cache.
 
 Only the recurrent product h @ wh runs inside the time loop. The input
 projection x @ wx + b runs before the loop, once per row, and each step
@@ -83,7 +88,8 @@ def init_lstm_params(rng: np.random.Generator, input_dim: int, hidden: int) -> d
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # 0.5 * (1 + tanh(x / 2)) in place; tanh saturates to exactly +-1
-    # instead of overflowing, so no masks
+    # instead of overflowing, so no masks. The forward's gates are tested
+    # against it (see the module notes)
     out = np.multiply(x, 0.5, out=out)
     np.tanh(out, out=out)
     out += 1.0
@@ -120,7 +126,11 @@ def lstm_forward(
         T, B = rows.shape[-2:]
         table, at = x, rows
     real = np.ones((T, B, 1), dtype=bool) if mask is None else mask[:, :, None] != 0
-    a_rows = (table @ params["wx"] + params["b"][..., None, :]).reshape(-1, 4 * H)  # ([S *] N, 4H)
+    half = np.full(4 * H, 0.5)  # halves the i/f/o columns (see the module notes)
+    half[2 * H : 3 * H] = 1.0
+    wh = wh * half
+    b = (params["b"] * half)[..., None, :]
+    a_rows = (table @ (params["wx"] * half) + b).reshape(-1, 4 * H)  # ([S *] N, 4H)
     if stack:  # row numbers in the flattened a_rows, time-major
         at = np.swapaxes(at + table.shape[-2] * np.arange(stack[0])[:, None, None], 0, 1)
     pad = ~real
@@ -134,12 +144,17 @@ def lstm_forward(
     h[...] = c[...] = 0.0  # the initial state
     tanh_c = np.empty((steps, *stack, B, H))
     gates = np.empty((steps, *stack, B, 4 * H))
+    g = np.empty((*stack, B, H))  # the candidate, kept aside while i/f/o are finished
     for t in range(T):
         a = h @ wh
         a += a_rows.take(at[t], axis=0)
-        act = _sigmoid(a, out=gates[t % steps])
-        i, f, g, o = act[..., :H], act[..., H : 2 * H], act[..., 2 * H : 3 * H], act[..., 3 * H :]
-        np.tanh(a[..., 2 * H : 3 * H], out=g)
+        act = np.tanh(a, out=gates[t % steps])  # tanh(x / 2) on i/f/o, tanh(x) on g
+        np.copyto(g, act[..., 2 * H : 3 * H])
+        act += 1.0
+        act *= 0.5
+        if keep_cache:  # the backward pass reads the candidate from the cache
+            act[..., 2 * H : 3 * H] = g
+        i, f, o = act[..., :H], act[..., H : 2 * H], act[..., 3 * H :]
         c_t = np.multiply(f, c, out=c_buf[(t + 1) % len(c_buf)])
         c_t += i * g
         tanh_c_t = np.tanh(c_t, out=tanh_c[t % steps])

@@ -194,7 +194,10 @@ _TAG_CHUNK_POSITIONS = 4096
 
 def _runs(lengths: Sequence[int], limit: int) -> Iterator[slice]:
     """Consecutive runs of sentences of these lengths, of at most `limit`
-    padded positions each; a sentence longer than `limit` is a run of its own."""
+    padded positions each; a sentence longer than `limit` is a run of its own.
+    `tag_batch` passes them longest first when its input needs more than one
+    run, and in input order when it fits in one; it returns tags in input order.
+    """
     start, longest = 0, 0
     for i, n in enumerate(lengths):
         longest = max(longest, n)
@@ -652,18 +655,22 @@ class TaggerModel:
         return em, lengths
 
     def tag_batch(self, batch: Sequence[Sentence] | Encoded) -> list[list[str]]:
-        """Tags of every sentence, decoded a run of consecutive sentences
-        at a time so that the working set stays bounded."""
+        """Tags of every sentence, in input order. Input that fits in one run
+        of `_TAG_CHUNK_POSITIONS` padded positions is decoded as it is; larger
+        input in runs of its sentences ordered by length, longest first (a
+        stable sort), so that each run pads little."""
         data = batch if isinstance(batch, Encoded) else self.encode(batch)
         lengths = (data.bounds[1:] - data.bounds[:-1]).tolist()
         tagged = [i for i, n in enumerate(lengths) if n > 0]
-        paths: list[list[int]] = []
+        if len(tagged) > 1 and len(tagged) * max(lengths) > _TAG_CHUNK_POSITIONS:
+            tagged.sort(key=lengths.__getitem__, reverse=True)
+        paths: dict[int, list[int]] = {}
         for part in _runs([lengths[i] for i in tagged], _TAG_CHUNK_POSITIONS):
             which = tagged[part]
             em, em_lengths = self.emissions(data if len(which) == len(data) else data.take(which))
-            paths += viterbi_decode_batched(em, em_lengths, self.params["trans"], self.allowed)[0]
-        decoded = iter(paths)
-        return [[self.tags[j] for j in next(decoded)] if n > 0 else [] for n in lengths]
+            decoded = viterbi_decode_batched(em, em_lengths, self.params["trans"], self.allowed)[0]
+            paths.update(zip(which, decoded))
+        return [[self.tags[j] for j in paths.get(i, [])] for i in range(len(lengths))]
 
     def tag(self, sentence: Sentence) -> list[str]:
         return self.tag_batch([sentence])[0]

@@ -1,5 +1,6 @@
 """End-to-end command-line tests; every command runs in process via main()."""
 import io
+from argparse import Namespace
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -12,12 +13,13 @@ from lexner.cli import (
     PipelineConfig,
     _load_gazetteer,
     apply_config_pair,
+    load_pipeline_config,
     main,
     parse_config_text,
 )
 from lexner.corpus import TagScheme, TypeInventory, load_column_file, tags_to_mentions, write_column_file
 from lexner.embed import SUBWORD_MAGIC, EmbedConfig, EmbeddingTable, load_embeddings, save_embeddings
-from lexner.errors import DataError, UsageError
+from lexner.errors import DataError, LexnerError, UsageError
 from lexner.lexsim import load_ls_table
 from lexner.tagger.model import load_checkpoint
 
@@ -88,6 +90,11 @@ class TestConfigParsing:
         # the threaded trainer is gone; training is single-threaded only
         with pytest.raises(UsageError, match="unknown config key: 'embed.workers'"):
             parse_config_text("embed.workers = 2", PipelineConfig())
+
+    def test_nul_in_a_path_is_usage_error(self):
+        # a config file is the one source of paths that can hold one
+        with pytest.raises(UsageError, match="paths.embeddings: a path cannot contain a NUL"):
+            parse_config_text("paths.embeddings = vec\x00tors.vec", PipelineConfig())
 
     def test_type_errors_name_the_key(self):
         with pytest.raises(UsageError, match="embed.dim"):
@@ -522,6 +529,44 @@ def _run_on_copy(d: Path, case: str, raw: bytes) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+# every text file build-ls reads besides its vector file: (argv, the file in
+# the bins directory whose corrupted copy is {bad}, the exit codes it may give);
+# a config file's unknown key or bad value is a usage error, exit 1
+TEXT_CASES = {
+    "build-ls --inventory": (["build-ls", "--embeddings", "{d}/vectors.vec", "--inventory", "{bad}",
+                              "--vocab", "{d}/vocab.txt", "--output", "{out}"], "inventory.txt", (0, 2)),
+    "build-ls --vocab": (["build-ls", "--embeddings", "{d}/vectors.vec", "--inventory",
+                          "{d}/inventory.txt", "--vocab", "{bad}", "--output", "{out}"], "vocab.txt", (0, 2)),
+    "build-ls --config": (["build-ls", "--config", "{bad}", "--vocab", "{d}/vocab.txt",
+                           "--output", "{out}"], "config.txt", (0, 1, 2)),
+}
+
+
+def text_source(d: Path, name: str) -> bytes:
+    """The uncorrupted bytes of a TEXT_CASES file."""
+    if name != "config.txt":
+        return (d / name).read_bytes()
+    return (f"# build-ls inputs\npaths.embeddings = {d}/vectors.vec\n"
+            f"paths.inventory = {d}/inventory.txt\nseed = 3\nembed.window = 2\n"
+            "tagger.features = word_emb, char\n").encode()
+
+
+def try_reader(read) -> None:
+    """Call a reader of a corrupted file: it may return or raise a LexnerError."""
+    try:
+        read()
+    except LexnerError:
+        pass
+
+
+def _run_text_case(d: Path, case: str) -> tuple[int, str]:
+    argv, name, _ = TEXT_CASES[case]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([a.format(d=d, bad=d / ("bad-" + name), out=d / "out") for a in argv])
+    return code, err.getvalue()
+
+
 class TestCorruptedBinaryInputs:
     @pytest.mark.parametrize("case", sorted(BINARY_CASES))
     @given(data=st.data())
@@ -538,6 +583,29 @@ class TestCorruptedBinaryInputs:
         code, err = _run_on_copy(bins, case, bytes(raw))
         # a flip inside a stored float can leave a valid file
         assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code:
+            assert err.splitlines()[-1].startswith("lexner: ")
+
+    @pytest.mark.parametrize("case", sorted(TEXT_CASES))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_text_reader_byte_flip_or_truncation_is_a_clean_error(self, bins, case, data):
+        argv, name, codes = TEXT_CASES[case]
+        raw = bytearray(text_source(bins, name))
+        at = data.draw(st.integers(0, len(raw) - 1))
+        if data.draw(st.booleans()):
+            raw = raw[:at]
+        else:
+            raw[at] = data.draw(st.integers(0, 255) | st.sampled_from(b"\x00\n/=.#"))
+        bad = bins / ("bad-" + name)
+        bad.write_bytes(bytes(raw))
+        if name == "inventory.txt":
+            try_reader(lambda: TypeInventory.load(bad))
+        if name == "config.txt":
+            try_reader(lambda: load_pipeline_config(Namespace(config=str(bad), seed=None, set=None)))
+        code, err = _run_text_case(bins, case)
+        assert code in codes
         assert "Traceback" not in err
         if code:
             assert err.splitlines()[-1].startswith("lexner: ")

@@ -578,6 +578,22 @@ class TestWordVector:
         assert np.all(plain.word_vector("y") == 0)
         np.testing.assert_array_equal(plain.word_vector("x"), np.ones(4))
 
+    def test_cased_file_rows_are_read(self, tmp_path):
+        p = tmp_path / "cased.txt"
+        p.write_text("Paris 1 2\nparis 3 4\nBERLIN 5 6\n", encoding="utf-8")
+        table = load_embeddings(p)
+        np.testing.assert_array_equal(table.word_vector("Paris"), [1, 2])
+        # of a word's case variants the first row is read, whatever the query's case
+        np.testing.assert_array_equal(table.word_vector("paris"), [1, 2])
+        np.testing.assert_array_equal(table.word_vectors(["berlin", "Berlin"]), [[5, 6], [5, 6]])
+        assert "Paris" in table and "PARIS" in table and "berlin" in table
+        assert "rome" not in table
+
+    def test_case_variants_are_not_duplicates(self):
+        EmbeddingTable(["Paris", "paris"], np.ones((2, 2), dtype=np.float32))
+        with pytest.raises(DataError, match="duplicate words"):
+            EmbeddingTable(["Paris", "paris", "Paris"], np.ones((3, 2), dtype=np.float32))
+
 
 class TestPersistence:
     def test_round_trip_with_subword(self, tmp_path):

@@ -99,6 +99,13 @@ class TestLsRaw:
         with pytest.raises(DataError):
             ls_raw("north", table, bad)
 
+    def test_cased_type_label_is_found(self):
+        table = EmbeddingTable(["/Person", "/place", "Paris"],
+                               np.array([[1, 0], [0, 1], [0, 2]], dtype=np.float32))
+        inv = TypeInventory(["/Person", "/place"])
+        np.testing.assert_allclose(ls_raw("Paris", table, inv), [0.0, 1.0])
+        np.testing.assert_allclose(ls_raw("/person", table, inv), [1.0, 0.0])
+
     def test_matches_per_word_cosines(self):
         # row-wise reductions reorder the sums of the BLAS dot products
         table, inv = subword_table()

@@ -477,6 +477,32 @@ class TestSkippedCarryMasking:
             assert np.array_equal(grads[k], r_grads[k]), k
 
 
+class TestSaturatedGates:
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_exact_zeros_and_ones_as_the_reference_sigmoid(self, stacked):
+        # |pre-activation| >= 43 on every gate: x @ wx and h @ wh stay under
+        # 6 and 1 against a bias of 50 to 80, so tanh(x / 2) is exactly +-1
+        # and the finishing +1, x0.5 gives exact 0 and 1
+        rng = np.random.default_rng(7)
+        d, h, T, B = 3, 2, 5, 4
+        stack = (2,) if stacked else ()
+        p = {"wx": rng.uniform(-0.5, 0.5, size=(*stack, d, 4 * h)),
+             "wh": rng.uniform(-0.5, 0.5, size=(*stack, h, 4 * h)),
+             "b": rng.choice([-1.0, 1.0], size=(*stack, 4 * h)) * rng.uniform(50, 80, size=4 * h)}
+        x = np.clip(rng.normal(size=(*stack, T, B, d)), -4, 4)
+        mask = (np.arange(T)[:, None] < np.array([5, 3, 5, 1])[None, :]).astype(float)
+        got = lstm_forward(p, x, mask)
+        want = where_lstm_forward(p, x, mask)
+        for a, b in zip(got[:3], want[:3]):
+            assert np.array_equal(a, b)
+        for k in ("h", "c", "gates", "tanh_c"):
+            assert np.array_equal(got[3][k], want[3][k]), k
+        gates = got[3]["gates"].reshape(T, *stack, B, 4, h)
+        sig = gates[..., [0, 1, 3], :]
+        assert np.all((sig == 0.0) | (sig == 1.0)) and np.any(sig == 0.0) and np.any(sig == 1.0)
+        assert np.all(np.abs(gates[..., 2, :]) == 1.0)
+
+
 class TestSigmoid:
     def test_matches_logistic(self):
         x = np.linspace(-40.0, 40.0, 160001)

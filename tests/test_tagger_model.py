@@ -835,6 +835,85 @@ class TestTagging:
             assert (len(r) + 1) * max(r + nxt[:1]) > limit
 
 
+def recording_emissions(model, monkeypatch):
+    """Patch model.emissions to note, per call, each sentence's rows of the
+    emissions and the number of sentences in the call."""
+    calls = []
+    emissions = model.emissions
+
+    def recorded(part):
+        em, lengths = emissions(part)
+        calls.append([(s, em[:n, b], len(part)) for b, (s, n) in enumerate(zip(part.sentences,
+                                                                               lengths.tolist()))])
+        return em, lengths
+
+    monkeypatch.setattr(model, "emissions", recorded)
+    return calls
+
+
+def consecutive_run_tags(model, data):
+    """Tags from decoding runs of consecutive sentences in input order."""
+    lengths = (data.bounds[1:] - data.bounds[:-1]).tolist()
+    tagged = [i for i, n in enumerate(lengths) if n > 0]
+    paths = {}
+    for part in _runs([lengths[i] for i in tagged], model_module._TAG_CHUNK_POSITIONS):
+        which = tagged[part]
+        em, em_lengths = model.emissions(data.take(which))
+        paths.update(zip(which, model_module.viterbi_decode_batched(
+            em, em_lengths, model.params["trans"], model.allowed)[0]))
+    return [[model.tags[j] for j in paths[i]] if i in paths else [] for i in range(len(lengths))]
+
+
+RUN_WORDS = ["the", "Fox", "saw", "Gold", "iron", "zq", "a"]
+
+
+class TestRunOrder:
+    """Input that needs more than one run is decoded in runs of sentences
+    ordered by length; the tags come back in input order and equal those of
+    runs of consecutive sentences. A sentence's emissions keep their bits
+    wherever it shares its run with another sentence; a run of one sentence
+    makes one-row products, which round differently."""
+
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=14), st.integers(16, 40),
+           st.booleans(), st.integers(0, 2**16))
+    @example([5] * 12, 20, False, 0)               # all sentences of one length
+    @example([3, 2, 30, 4, 1, 2, 6], 16, False, 1)  # one sentence longer than the limit
+    @example([4, 0, 7, 0, 0, 2, 9, 0, 3], 18, False, 2)  # empty sentences in between
+    @example([6, 1, 8, 3, 8, 2, 5, 7], 24, True, 3)      # an Encoded input
+    @settings(max_examples=40, deadline=None)
+    def test_tags_in_input_order_and_emissions_bitwise(self, lengths, limit, encoded, seed):
+        model, _, _ = build_tiny_model()
+        rng = np.random.default_rng(seed)
+        # random scores, so the decoded paths are not all "O"
+        model.params["trans"] = rng.normal(size=model.params["trans"].shape) * 2
+        model.params["proj_w"] = rng.normal(size=model.params["proj_w"].shape) * 3
+        batch = [Sentence.from_words(rng.choice(RUN_WORDS, size=n).tolist()) for n in lengths]
+        data = model.encode(batch)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_module, "_TAG_CHUNK_POSITIONS", limit)
+            calls = recording_emissions(model, mp)
+            got = model.tag_batch(data if encoded else batch)
+            sorted_calls = list(calls)
+            calls.clear()
+            want = consecutive_run_tags(model, data)
+        assert got == want
+        assert [len(t) for t in got] == lengths
+
+        def by_sentence(records):
+            return {id(s): (em, size) for call in records for s, em, size in call}
+
+        ordered, consecutive = by_sentence(sorted_calls), by_sentence(calls)
+        assert sorted(ordered) == sorted(consecutive) == sorted(id(s) for s in batch if len(s))
+        for key, (em, size) in ordered.items():
+            r_em, r_size = consecutive[key]
+            if size > 1 and r_size > 1:
+                assert em.tobytes() == r_em.tobytes()
+        if len(sorted_calls) > 1:  # runs in length order, longest first, ties in input order
+            at = {id(s): i for i, s in enumerate(batch)}
+            order = [at[id(s)] for call in sorted_calls for s, _, _ in call]
+            assert order == sorted(order, key=lambda i: (-lengths[i], i))
+
+
 # ---------------------------------------------------------------------------
 # gazetteer features
 # ---------------------------------------------------------------------------
