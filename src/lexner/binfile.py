@@ -8,6 +8,7 @@ bytes ran out, never a huge allocation; a bad value is an error at its own.
 from __future__ import annotations
 
 import struct
+from typing import Iterable
 
 import numpy as np
 
@@ -28,11 +29,13 @@ def header_size(magic: bytes, fmt: str) -> int:
     return len(magic) + struct.calcsize("<B" + fmt)
 
 
-def string(s: str) -> bytes:
-    b = s.encode("utf-8")
-    if len(b) > 0xFFFF:
-        raise DataError(f"string too long to serialize: {len(b)} bytes")
-    return pack("H", len(b)) + b
+def strings(values: Iterable[str]) -> list[bytes]:
+    """Each value as its UTF-8 bytes behind a u16 byte count, in order."""
+    encoded = [s.encode("utf-8") for s in values]
+    longest = max(map(len, encoded), default=0)
+    if longest > 0xFFFF:
+        raise DataError(f"string too long to serialize: {longest} bytes")
+    return [len(b).to_bytes(2, "little") + b for b in encoded]
 
 
 def floats(values) -> bytes:

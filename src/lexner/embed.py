@@ -246,9 +246,14 @@ class EmbeddingTable:
     def word_vectors(self, words: Sequence[str]) -> np.ndarray:
         """Composed vectors of many words at once, one float32 row per word.
 
-        Each n-gram mean is summed row by row in n-gram order and divided by
-        the count, exactly as bucket_vectors[ids].mean(axis=0) does, then
-        added to the word's stored row (or to zeros when it has none).
+        Each n-gram mean is a sum divided by the count, exactly as
+        bucket_vectors[ids].mean(axis=0) computes it, then added to the
+        word's stored row (or to zeros when it has none). A chunk's sums run
+        column by column: zeros, then its first n-gram's rows added, then
+        each next n-gram's, which is the order mean() adds a word's rows in
+        when dim >= 2 (starting from zero, so a -0.0 sum reads +0.0 as it
+        does there). At dim == 1 mean() reduces one contiguous column and
+        sums it pairwise, so that case keeps numpy's own sum.
         """
         words = [w.lower() for w in words]
         rows = np.array([self.word_index.get(w, -1) for w in words], dtype=np.int64)
@@ -256,10 +261,16 @@ class EmbeddingTable:
         out = np.zeros((len(words), self.dim), dtype=np.float32)
         out[known] = self.vectors[rows[known]]
         if self.bucket_vectors is not None:
-            nbuckets = self.bucket_vectors.shape[0]
-            for pos, ids in _ngram_id_chunks(words, nbuckets, self.ngram_min, self.ngram_max):
+            bv = self.bucket_vectors
+            for pos, ids in _ngram_id_chunks(words, bv.shape[0], self.ngram_min, self.ngram_max):
+                if self.dim == 1:
+                    acc = bv[ids].sum(axis=1)
+                else:
+                    acc = np.zeros((len(ids), self.dim), dtype=np.float32)
+                    for col in np.ascontiguousarray(ids.T):
+                        acc += bv.take(col, axis=0)
                 # the float32 quotient equals mean()'s float64 one rounded to float32
-                out[pos] += self.bucket_vectors[ids].sum(axis=1) / ids.shape[1]
+                out[pos] += acc / ids.shape[1]
         return out
 
 

@@ -9,9 +9,14 @@ through the subword-composed embedding, scaled the same way.
 A build works through the vocabulary a chunk of words at a time: one
 batched subword composition (`EmbeddingTable.word_vectors`), one cosine
 product against the type matrix and one row-wise MinMax per chunk. The
-one-word paths (`ls_raw`, `top_k_types`, the `LSTable.vector` fallback)
-are the same code with one row, and every reduction runs along a single
-row, so a word gets the same bits whatever batch it is computed in.
+composition adds a chunk's n-gram rows column by column, first n-gram
+first, which is the order a per-word mean adds them in; at dim == 1 it
+keeps numpy's pairwise sum, as the per-word mean does there. The cosine
+product is formed a cache-sized block of words at a time. The fallback
+(`LSTable.vectors`, one batch of misses) and the one-word paths (`ls_raw`,
+`top_k_types`, `LSTable.vector`) are the same code, and every reduction
+runs along a single row, so a word gets the same bits whatever batch or
+block it is computed in.
 """
 from __future__ import annotations
 
@@ -53,7 +58,10 @@ def _profiles(
     """
     t, tnorms = types
     v = table.word_vectors(words).astype(np.float64)
-    dots = (v[:, None, :] * t).sum(axis=2)
+    dots = np.empty((len(v), len(t)))
+    step = max(1, _LS_BLOCK_VALUES // t.size)
+    for s in range(0, len(v), step):
+        np.sum(v[s : s + step, None, :] * t, axis=2, out=dots[s : s + step])
     norms = _row_norms(v)[:, None]
     live = (norms != 0.0) & (tnorms != 0.0)
     return np.divide(dots, norms * tnorms, out=np.zeros_like(dots), where=live)
@@ -112,8 +120,6 @@ class LSTable:
             self.entries[w] = vec
         self.fallback = fallback
         self._type_cache: tuple[np.ndarray, np.ndarray] | None = None
-        # fallback vectors already computed, kept apart from the table's entries
-        self._fallback_vectors: dict[str, np.ndarray] = {}
 
     @property
     def dim(self) -> int:
@@ -126,16 +132,28 @@ class LSTable:
         return word.lower() in self.entries
 
     def vector(self, word: str) -> np.ndarray:
-        word = word.lower()
-        hit = self.entries.get(word)
-        if hit is None and self.fallback is not None:
-            hit = self._fallback_vectors.get(word)
-            if hit is None:
+        return self.vectors([word])[0]
+
+    def vectors(self, words: Sequence[str]) -> np.ndarray:
+        """LS vectors of many words, one float32 row each.
+
+        A word's row is the entry of its lowercased form; the words without
+        one are composed through the fallback in one batch (or get zero rows
+        without it).
+        """
+        words = [w.lower() for w in words]
+        rows = [self.entries.get(w) for w in words]
+        misses = list(dict.fromkeys(w for w, row in zip(words, rows) if row is None))
+        if misses:
+            if self.fallback is None:
+                composed = np.zeros((len(misses), self.dim), dtype=np.float32)
+            else:
                 if self._type_cache is None:
                     self._type_cache = _type_matrix(self.fallback, self.inventory)
-                hit = _scaled([word], self.fallback, self._type_cache)[0]
-                self._fallback_vectors[word] = hit
-        return hit if hit is not None else np.zeros(self.dim, dtype=np.float32)
+                composed = _scaled(misses, self.fallback, self._type_cache)
+            found = dict(zip(misses, composed))
+            rows = [found[w] if row is None else row for w, row in zip(words, rows)]
+        return np.array(rows, dtype=np.float32).reshape(len(words), self.dim)
 
     def content_hash(self) -> str:
         """Order-sensitive digest of entries; stable across save/load."""
@@ -150,9 +168,11 @@ class LSTable:
         return h.hexdigest()
 
 
-# float64 values in one chunk's (words, types, dim) cosine product; bounds
-# the peak memory of a table build
+# float64 values of the (words, types, dim) cosine product per chunk of a
+# table build, which bounds its peak memory; a chunk forms the product a
+# block of words at a time, sized to stay in cache
 _LS_CHUNK_VALUES = 1 << 21
+_LS_BLOCK_VALUES = 1 << 16
 
 
 def build_ls_table(
@@ -195,12 +215,20 @@ def top_k_types(
 
 def save_ls_table(table: LSTable, path: str | Path) -> None:
     """Binary format: magic, version, dim, the inventory labels in order,
-    record count, then one (word, dim x float32) record per entry."""
+    record count, then one (word, dim x float32) record per entry.
+
+    Every entry's values are converted to float32 bytes at once, and the
+    records are joined in one pass, word and values alternating."""
+    n, width = len(table.entries), 4 * table.dim
+    values = np.array(list(table.entries.values()), dtype="<f4").reshape(n, table.dim).tobytes()
+    records = [b""] * (2 * n)
+    records[0::2] = binfile.strings(table.entries)
+    records[1::2] = [values[i : i + width] for i in range(0, len(values), width)]
     with open(path, "wb") as fh:
         fh.write(binfile.header(LS_MAGIC, LS_VERSION, "I", table.dim))
-        fh.write(b"".join(map(binfile.string, table.inventory)))
-        fh.write(binfile.pack("Q", len(table.entries)))
-        fh.write(b"".join(binfile.string(w) + binfile.floats(v) for w, v in table.entries.items()))
+        fh.write(b"".join(binfile.strings(table.inventory)))
+        fh.write(binfile.pack("Q", n))
+        fh.write(b"".join(records))
 
 
 def load_ls_table(path: str | Path) -> LSTable:

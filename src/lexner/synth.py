@@ -138,16 +138,6 @@ def distant_sentences(
     return out
 
 
-def planted_counts(world: SynthWorld, sentences: list[Sentence]) -> dict[str, int]:
-    """How often each planted entity surface occurs (for corpus sanity checks)."""
-    counts = {w: 0 for w in world.all_planted()}
-    for s in sentences:
-        for tok in s.tokens:
-            if tok.lower in counts:
-                counts[tok.lower] += 1
-    return counts
-
-
 @dataclass
 class NerSplits:
     train: list[Sentence]
@@ -237,27 +227,3 @@ def ner_dataset(
         dev=[sentence("dev") for _ in range(n_dev)],
         test=[sentence("test") for _ in range(n_test)],
     )
-
-
-def overfit_dataset(world: SynthWorld, n: int = 20, seed: int = 4) -> list[Sentence]:
-    """A small fully in-vocabulary tagged set for memorization checks.
-
-    Entity tokens form the majority of every sentence and only three types
-    appear, so even the first epochs of a stock configuration move decoded
-    tags off the all-outside baseline; that matters because stock early
-    stopping tolerates only short plateaus.
-    """
-    rng = np.random.default_rng((seed, 44))
-    labels = list(world.inventory)[:3]
-    out: list[Sentence] = []
-    for i in range(n):
-        t1 = labels[int(rng.integers(len(labels)))]
-        t2 = labels[int(rng.integers(len(labels)))]
-        w1 = world.planted(t1)[int(rng.integers(2))]
-        w2 = world.planted(t2)[int(rng.integers(2))]
-        c = world.contexts[t1][int(rng.integers(3))]
-        words = [w1, c, w2]
-        mentions = [Mention(0, 1, t1), Mention(2, 3, t2)]
-        out.append(Sentence.from_words(
-            words, mentions=mentions, tags=mentions_to_tags(mentions, len(words))))
-    return out

@@ -421,7 +421,7 @@ class TaggerModel:
         if cfg.uses("cap"):
             table["caps"] = np.fromiter(map(capitalization_class, surfaces), np.int64, n)
         if cfg.uses("ls"):
-            table["ls"] = np.array([self.ls_table.vector(w) for w in surfaces]).astype(np.float64)
+            table["ls"] = self.ls_table.vectors(surfaces).astype(np.float64)
         gaz = None
         if cfg.uses("gazetteer"):
             gaz = np.concatenate([np.zeros((0, len(self.gazetteer)))]

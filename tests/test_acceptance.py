@@ -28,13 +28,11 @@ from lexner.synth import (
     distant_sentences,
     make_world,
     ner_dataset,
-    overfit_dataset,
-    planted_counts,
 )
 from lexner.tagger import TaggerConfig, TaggerModel, crf_log_partition, train, viterbi_decode
 from lexner.tagger.gradcheck import gradient_check
 
-from world import tiny_embeddings
+from world import overfit_dataset, planted_counts, tiny_embeddings
 
 
 def report(num: int, ok: bool, detail: str) -> None:

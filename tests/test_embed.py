@@ -137,6 +137,8 @@ class TestBatchedComposition:
     @given(st.lists(_words, max_size=10), st.integers(1, 9), st.integers(0, 2**32 - 1),
            st.booleans())
     @settings(max_examples=150, deadline=None)
+    # at dim 1 the reference mean sums a word's 47 n-grams pairwise
+    @example(words=["000000000000"], dim=1, seed=0, small_chunks=False)
     def test_bitwise_equal_to_per_word_reference(self, words, dim, seed, small_chunks):
         rng = np.random.default_rng(seed)
         vocab = list(dict.fromkeys(w.lower() for w in words[::2])) + ["/known"]
@@ -149,6 +151,27 @@ class TestBatchedComposition:
         for w, row in zip(queries, got):
             assert row.tobytes() == reference_word_vector(table, w).tobytes(), w
             assert table.word_vector(w).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_many_ngrams_match_reference(self, dim):
+        # 16 and more n-grams: past the 8-way unrolled blocks of numpy's
+        # pairwise sum, whose order differs from adding rows one by one
+        rng = np.random.default_rng(dim)
+        table = EmbeddingTable(["known"], rng.normal(size=(1, dim)).astype(np.float32),
+                               rng.normal(size=(53, dim)).astype(np.float32))
+        words = ["abcdefghijklmnop", "known", "KNOWNKNOWNKNOWN", "xyz", "qrstuvwxyzabcdefghij"]
+        assert all(len(char_ngrams(w)) >= 16 for w in words[::2])
+        for w, row in zip(words, table.word_vectors(words)):
+            assert row.tobytes() == reference_word_vector(table, w).tobytes(), w
+
+    def test_sum_of_negative_zeros_is_positive_zero(self):
+        # numpy's sum starts from +0.0, so -0.0 rows sum to +0.0, and a
+        # stored -0.0 plus that mean is +0.0 too
+        table = EmbeddingTable(["known"], np.full((1, 2), -0.0, dtype=np.float32),
+                               np.full((7, 2), -0.0, dtype=np.float32))
+        for w, row in zip(["known", "fresh"], table.word_vectors(["known", "fresh"])):
+            assert row.tobytes() == reference_word_vector(table, w).tobytes(), w
+            assert not np.signbit(row).any()
 
     def test_trained_table_matches_reference(self):
         table = train_skipgram(tiny_corpus(), small_config())

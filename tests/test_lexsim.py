@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -217,6 +217,42 @@ class TestBatchedBuild:
             expect = minmax_scale(ls_raw(w, table, inv)).astype(np.float32)
             assert ls.entries[w].tobytes() == expect.tobytes(), w
 
+    def test_matches_per_word_path_across_product_blocks(self):
+        table, inv = subword_table()
+        rng = np.random.default_rng(12)
+        letters = list("abcdefghijklmnopqrstuvwxyzéü東𝒳")
+        vocab = ["".join(rng.choice(letters, int(rng.integers(1, 14)))) for _ in range(300)]
+        words = list(dict.fromkeys(w.lower() for w in vocab))
+        # 7-word product blocks inside 64-word chunks: block boundaries fall
+        # mid-chunk, and a chunk's last block is a short one
+        with mock.patch.object(lexsim, "_LS_CHUNK_VALUES", 64 * len(inv) * table.dim), \
+                mock.patch.object(lexsim, "_LS_BLOCK_VALUES", 7 * len(inv) * table.dim):
+            ls = build_ls_table(vocab, table, inv)
+        assert list(ls.entries) == words and len(words) % 64 % 7 != 0
+        for w in words:
+            expect = minmax_scale(ls_raw(w, table, inv)).astype(np.float32)
+            assert ls.entries[w].tobytes() == expect.tobytes(), w
+
+    def test_vectors_equal_one_word_lookups(self):
+        table, inv = subword_table()
+        ls = build_ls_table(["north", "ab"], table, inv)
+        words = ["North", "southern", "SOUTHERN", "x", "", "/t2", "café", "ab", "north"]
+        got = ls.vectors(words)
+        assert got.dtype == np.float32 and got.shape == (len(words), len(inv))
+        full = build_ls_table(words, table, inv)
+        for w, row in zip(words, got):
+            assert row.tobytes() == ls.vector(w).tobytes() == full.entries[w.lower()].tobytes(), w
+        assert list(ls.entries) == ["north", "ab"]
+
+    def test_vectors_without_fallback(self):
+        table, inv = subword_table()
+        bare = LSTable(inv, build_ls_table(["north"], table, inv).entries)
+        got = bare.vectors(["ghost", "NORTH", "ghost"])
+        assert got.tobytes() == np.stack(
+            [np.zeros(len(inv), np.float32), bare.entries["north"], np.zeros(len(inv), np.float32)]
+        ).tobytes()
+        assert bare.vectors([]).shape == (0, len(inv))
+
     def test_fallback_equals_table_entry(self):
         table, inv = subword_table()
         built = build_ls_table(["southern", "x", "ab", "café"], table, inv)
@@ -263,7 +299,49 @@ class TestTopK:
             top_k_types("north", 0, table, inv)
 
 
+def reference_save(table: LSTable, path) -> None:
+    """The LS file format written field by field and record by record."""
+
+    def string(s: str) -> bytes:
+        b = s.encode("utf-8")
+        return struct.pack("<H", len(b)) + b
+
+    with open(path, "wb") as fh:
+        fh.write(b"LSTB" + struct.pack("<BI", 1, table.dim))
+        for label in table.inventory:
+            fh.write(string(label))
+        fh.write(struct.pack("<Q", len(table.entries)))
+        for w, vec in table.entries.items():
+            fh.write(string(w))
+            fh.write(struct.pack(f"<{table.dim}f", *vec.tolist()))
+
+
+# record words: non-ASCII, outside the Basic Multilingual Plane, empty
+_record_words = st.one_of(
+    st.text(max_size=8),
+    st.text(st.characters(min_codepoint=0x10000, categories=["Lo", "So", "Lu", "Ll", "Co"]),
+            max_size=4),
+    st.sampled_from(["café", "東京都", "𝒳yz", "a𝄞b", ""]),
+)
+
+
 class TestPersistence:
+    @given(st.lists(_record_words, unique=True, max_size=12), st.integers(1, 9),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    @example(words=[], dim=1, seed=0)
+    def test_save_equals_per_record_writer(self, tmp_path_factory, words, dim, seed):
+        rng = np.random.default_rng(seed)
+        inv = TypeInventory([f"/t{i}" for i in range(dim - 1)] + ["/東𝒳"])
+        values = (rng.normal(size=(len(words), dim)) * 10.0 ** rng.uniform(-30, 30, (len(words), 1)))
+        values[rng.random(values.shape) < 0.1] = -0.0
+        ls = LSTable(inv, dict(zip(words, values)))
+        d = tmp_path_factory.mktemp("ls")
+        save_ls_table(ls, d / "fast.ls")
+        reference_save(ls, d / "slow.ls")
+        assert (d / "fast.ls").read_bytes() == (d / "slow.ls").read_bytes()
+        assert load_ls_table(d / "fast.ls").content_hash() == ls.content_hash()
+
     def test_round_trip(self, tmp_path):
         table, inv = toy_table()
         ls = build_ls_table(["north", "south", "flat"], table, inv)

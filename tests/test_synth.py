@@ -11,9 +11,9 @@ from lexner.synth import (
     distant_sentences,
     make_world,
     ner_dataset,
-    overfit_dataset,
-    planted_counts,
 )
+
+from world import overfit_dataset, planted_counts
 
 
 @pytest.fixture(scope="module")

@@ -241,13 +241,13 @@ class TestRepeatedSurfaces:
     def test_one_ls_lookup_per_distinct_surface(self, monkeypatch):
         model, sents, ls = repeated_surface_model()
         seen = []
-        lookup = ls.vector
+        lookup = ls.vectors
 
-        def counted(word):
-            seen.append(word)
-            return lookup(word)
+        def counted(words):
+            seen.extend(words)
+            return lookup(words)
 
-        monkeypatch.setattr(ls, "vector", counted)
+        monkeypatch.setattr(ls, "vectors", counted)
         model.emissions(model.encode(sents))
         surfaces = [tok.surface for s in sents for tok in s.tokens]
         assert sorted(seen) == sorted(set(surfaces))
@@ -409,8 +409,8 @@ class TestEncodedOracle:
     def test_each_surface_is_looked_up_once_per_data_set(self, monkeypatch):
         model, sents, ls = repeated_surface_model()
         seen = []
-        lookup = ls.vector
-        monkeypatch.setattr(ls, "vector", lambda word: seen.append(word) or lookup(word))
+        lookup = ls.vectors
+        monkeypatch.setattr(ls, "vectors", lambda words: seen.extend(words) or lookup(words))
         encoded = model.encode(sents, gold=True)
         for part in ([0, 1], [2, 0], [1]):
             model.nll_and_gradients(encoded.take(part))
