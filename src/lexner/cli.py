@@ -42,7 +42,6 @@ from .lexsim import (
     build_ls_table,
     load_ls_table,
     save_ls_table,
-    save_ls_table_text,
     top_k_types,
 )
 from .synth import distant_sentences, make_world, ner_dataset
@@ -263,10 +262,7 @@ def cmd_build_ls(args) -> int:
     if not vocab:
         raise DataError(f"empty vocabulary file: {args.vocab}")
     ls = build_ls_table(vocab, table, inventory)
-    if args.text:
-        save_ls_table_text(ls, args.output)
-    else:
-        save_ls_table(ls, args.output)
+    save_ls_table(ls, args.output)
     progress_to_stderr(
         f"build-ls: {len(ls)} words x {ls.dim} types -> {args.output} "
         f"(hash {ls.content_hash()[:16]})"
@@ -531,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inventory", help="entity type labels, one per line")
     p.add_argument("--vocab", required=True, help="words to cover, one per line")
     p.add_argument("--output", required=True)
-    p.add_argument("--text", action="store_true", help="write the text dump instead of binary")
     _add_config_flags(p)
     p.set_defaults(func=cmd_build_ls)
 

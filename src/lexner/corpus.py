@@ -16,7 +16,7 @@ from .errors import DataError, FormatError, ParseError, SchemeError
 
 DOCSTART = "-DOCSTART-"
 
-_TYPE_LABEL_RE = re.compile(r"^/[^/\s]+(/[^/\s]+)?$")
+_TYPE_LABEL_RE = re.compile(r"/[^/\s]+(/[^/\s]+)?")
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ class TypeInventory:
         labels = list(labels)
         seen: dict[str, int] = {}
         for i, label in enumerate(labels):
-            if not _TYPE_LABEL_RE.match(label):
+            if not _TYPE_LABEL_RE.fullmatch(label):
                 raise DataError(f"malformed type label: {label!r}")
             if label in seen:
                 raise DataError(f"duplicate type label: {label!r}")
@@ -323,99 +323,61 @@ def split_tag(tag: str, scheme: TagScheme, position: int) -> tuple[str, str | No
     return tag[0], tag[2:]
 
 
+def _refusal(prefix: str, etype: str | None, scheme: TagScheme, open_type: str | None) -> str | None:
+    """Why strict decoding refuses a tag that does not continue the open
+    mention (`open_type` is None when none is open), or None if it may."""
+    if scheme is TagScheme.IOB1:
+        if prefix == "B" and open_type != etype:
+            return f"B-{etype} without preceding {etype} mention"
+    elif prefix in "IL":
+        return f"orphan {prefix}-{etype}"
+    elif scheme is TagScheme.BILOU and open_type is not None:
+        return f"{prefix} inside an open mention"
+    return None
+
+
 def tags_to_mentions(
     tags: Sequence[str], scheme: TagScheme = TagScheme.BILOU, strict: bool = True
 ) -> list[Mention]:
     """Decode a tag sequence into its mention spans.
 
-    Strict mode raises on any sequence the scheme does not license (used for
-    gold data). Lenient mode repairs violations the way the classic chunk
-    evaluation script does: an orphan continuation tag simply opens a new
-    mention, and unterminated mentions are closed at the sentence end.
+    One rule serves every scheme. An I or L tag of the open mention's type
+    continues it, and L also closes it. Any other tag closes the open
+    mention, and any tag but O opens a new one, which U and L close at once.
+
+    Strict mode (used for gold data) raises `SchemeError` on a sequence the
+    scheme does not license: in IOB1, a B with no open mention of its type;
+    in IOB2 and BILOU, an I or L that does not continue; in BILOU also an O,
+    B or U while a mention is open, or a mention still open at the sentence
+    end. Lenient mode applies the rule as it stands, which repairs such
+    sequences the way the classic chunk evaluation script does.
     """
     mentions: list[Mention] = []
-    open_start: int | None = None
-    open_type: str | None = None
-
-    def close(end: int) -> None:
-        nonlocal open_start, open_type
-        if open_start is not None:
-            mentions.append(Mention(open_start, end, open_type))
-            open_start = open_type = None
-
+    start = 0
+    open_type: str | None = None  # None: no mention is open
     for i, tag in enumerate(tags):
+        if tag == "O" and open_type is None:  # legal in every scheme, and changes nothing
+            continue
         prefix, etype = split_tag(tag, scheme, i)
-
-        if scheme is TagScheme.BILOU:
-            if prefix == "O":
-                if open_start is not None and strict:
-                    raise SchemeError("O inside an open mention", i)
-                close(i)
-            elif prefix == "U":
-                if open_start is not None and strict:
-                    raise SchemeError("U inside an open mention", i)
-                close(i)
-                mentions.append(Mention(i, i + 1, etype))
-            elif prefix == "B":
-                if open_start is not None and strict:
-                    raise SchemeError("B inside an open mention", i)
-                close(i)
-                open_start, open_type = i, etype
-            elif prefix == "I":
-                if open_start is None or open_type != etype:
-                    if strict:
-                        raise SchemeError(f"orphan I-{etype}", i)
-                    close(i)
-                    open_start, open_type = i, etype
-            else:  # L
-                if open_start is not None and open_type == etype:
-                    close(i + 1)
-                else:
-                    if strict:
-                        raise SchemeError(f"orphan L-{etype}", i)
-                    close(i)
-                    mentions.append(Mention(i, i + 1, etype))
-
-        elif scheme is TagScheme.IOB2:
-            if prefix == "O":
-                close(i)
-            elif prefix == "B":
-                close(i)
-                open_start, open_type = i, etype
-            else:  # I
-                if open_start is not None and open_type == etype:
-                    pass
-                else:
-                    if strict:
-                        raise SchemeError(f"orphan I-{etype}", i)
-                    close(i)
-                    open_start, open_type = i, etype
-
-        else:  # IOB1
-            if prefix == "O":
-                close(i)
-            elif prefix == "I":
-                if open_start is not None and open_type == etype:
-                    pass
-                else:
-                    close(i)
-                    open_start, open_type = i, etype
-            else:  # B: legal only to split two adjacent same-type mentions
-                if open_start is not None and open_type == etype:
-                    close(i)
-                    open_start, open_type = i, etype
-                else:
-                    if strict:
-                        raise SchemeError(
-                            f"B-{etype} without preceding {etype} mention", i
-                        )
-                    close(i)
-                    open_start, open_type = i, etype
-
-    if open_start is not None:
-        if scheme is TagScheme.BILOU and strict:
+        if prefix in "IL" and etype == open_type:
+            if prefix == "L":
+                mentions.append(Mention(start, i + 1, etype))
+                open_type = None
+            continue
+        if strict:
+            problem = _refusal(prefix, etype, scheme, open_type)
+            if problem:
+                raise SchemeError(problem, i)
+        if open_type is not None:
+            mentions.append(Mention(start, i, open_type))
+        start, open_type = i, etype
+        if prefix in "UL":
+            mentions.append(Mention(i, i + 1, etype))
+            open_type = None
+    if open_type is not None:
+        if strict and scheme is TagScheme.BILOU:
             raise SchemeError("mention not closed at sentence end", len(tags) - 1)
-        close(len(tags))
+        mentions.append(Mention(start, len(tags), open_type))
     return mentions
 
 

@@ -253,10 +253,3 @@ def load_ls_table(path: str | Path) -> LSTable:
     table.entries = dict(zip(words, vectors.astype(np.float32)))
     return table
 
-
-def save_ls_table_text(table: LSTable, path: str | Path) -> None:
-    """Human-readable dump: one "word v1 .. v_dim" line per entry."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + " ".join(table.inventory.labels) + "\n")
-        for w, vec in table.entries.items():
-            fh.write(w + " " + " ".join(f"{x:.6f}" for x in vec) + "\n")

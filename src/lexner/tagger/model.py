@@ -672,9 +672,6 @@ class TaggerModel:
             paths.update(zip(which, decoded))
         return [[self.tags[j] for j in paths.get(i, [])] for i in range(len(lengths))]
 
-    def tag(self, sentence: Sentence) -> list[str]:
-        return self.tag_batch([sentence])[0]
-
 
 # ---------------------------------------------------------------------------
 # Checkpoints

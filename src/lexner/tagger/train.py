@@ -10,7 +10,7 @@ import numpy as np
 
 from ..corpus import Sentence, tags_to_mentions
 from ..embed import EmbeddingTable
-from ..errors import DataError, NumericalError
+from ..errors import DataError, NumericalError, SchemeError
 from ..evaluation import evaluate
 from ..lexsim import LSTable
 from .gazetteer import Gazetteer
@@ -83,6 +83,10 @@ def train(
     for i, s in enumerate(train_set):
         if s.tags is None:
             raise DataError(f"training sentence {i} has no gold tags")
+        try:  # the CRF's grammar admits strict BILOU paths only
+            tags_to_mentions(s.tags)
+        except SchemeError as e:
+            raise DataError(f"training sentence {i} is not strict BILOU: {e}") from None
     tags = sorted({t for s in train_set for t in s.tags})
     charset = sorted({c for s in train_set for tok in s.tokens for c in tok.surface})
     model = TaggerModel.build(config, tags, charset, pretrained, ls_table, gazetteer)

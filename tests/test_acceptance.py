@@ -360,7 +360,7 @@ def test_08_overfit_small_set(world, embeddings):
     model, history = train(data, data, TaggerConfig(), pretrained=table, ls_table=ls)
     best = max(h["dev_f1"] for h in history)
     first_hit = next((h["epoch"] for h in history if h["dev_f1"] == 100.0), None)
-    memorized = all(model.tag(s) == s.tags for s in data)
+    memorized = all(model.tag_batch([s])[0] == s.tags for s in data)
     report(
         8,
         best == 100.0 and first_hit is not None and first_hit < 50 and memorized,

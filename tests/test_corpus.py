@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +23,10 @@ from lexner.corpus import (
     tags_to_mentions,
 )
 from lexner.errors import DataError, FormatError, LexnerError, ParseError, SchemeError
+from lexner.tagger.crf import bilou_allowed_transitions
 
 from column_reference import reference_column_sentences
+from scheme_reference import reference_tags_to_mentions
 
 SAMPLE = """\
 EU B-ORG
@@ -360,6 +364,56 @@ def test_scheme_conversion_round_trip(layout):
     assert convert_scheme(iob1, TagScheme.IOB1, TagScheme.BILOU) == bilou
 
 
+# every prefix of both schemes' letters, two types, and two malformed tags
+DECODER_ALPHABET = ["O", "B-A", "I-A", "L-A", "U-A", "B-B", "I-B", "L-B", "U-B", "X-A", "B-"]
+
+
+def _decode_outcome(decode, tags, scheme, strict):
+    try:
+        return decode(tags, scheme, strict)
+    except LexnerError as e:
+        return type(e), e.position, str(e)
+
+
+class TestSchemeDecoderOracle:
+    """`tags_to_mentions` against the per-scheme decoder it replaced: the
+    same mentions, or the same exception class, position and message."""
+
+    def test_every_short_sequence(self):
+        cases = 0
+        for n in range(5):
+            for tags in itertools.product(DECODER_ALPHABET, repeat=n):
+                for scheme in TagScheme:
+                    for strict in (True, False):
+                        assert (_decode_outcome(tags_to_mentions, tags, scheme, strict)
+                                == _decode_outcome(reference_tags_to_mentions, tags, scheme, strict))
+                        cases += 1
+        assert cases == 96_630
+
+    @given(st.lists(st.sampled_from(DECODER_ALPHABET), max_size=12),
+           st.sampled_from(list(TagScheme)), st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference(self, tags, scheme, strict):
+        assert (_decode_outcome(tags_to_mentions, tags, scheme, strict)
+                == _decode_outcome(reference_tags_to_mentions, tags, scheme, strict))
+
+    @given(st.lists(st.sampled_from(DECODER_ALPHABET[:9]), min_size=1, max_size=12))
+    @settings(max_examples=500, deadline=None)
+    def test_strict_bilou_is_the_crf_grammar(self, tags):
+        """Strict BILOU decoding accepts a sequence of well-formed tags iff
+        `bilou_allowed_transitions` allows every move of its path from START
+        to STOP, which is what keeps constrained decoding strictly valid."""
+        labels = sorted(set(tags))
+        allowed = bilou_allowed_transitions(labels)
+        path = [len(labels)] + [labels.index(t) for t in tags] + [len(labels) + 1]
+        try:
+            tags_to_mentions(tags, TagScheme.BILOU, strict=True)
+            decodes = True
+        except SchemeError:
+            decodes = False
+        assert decodes == all(allowed[a, b] for a, b in zip(path, path[1:]))
+
+
 class TestCapClass:
     @pytest.mark.parametrize("word,expect", [
         ("USA", CapClass.ALL_UPPER),
@@ -426,6 +480,8 @@ class TestTypeInventory:
             TypeInventory(["/a/b/c"])
         with pytest.raises(DataError):
             TypeInventory(["/a", "/a"])
+        with pytest.raises(DataError, match="malformed type label"):
+            TypeInventory(["/a\n"])  # `$` alone would match before the newline
 
     def test_save_load(self, tmp_path):
         inv = TypeInventory(["/person", "/award"])

@@ -19,7 +19,6 @@ from lexner.lexsim import (
     ls_raw,
     minmax_scale,
     save_ls_table,
-    save_ls_table_text,
     top_k_types,
 )
 
@@ -434,12 +433,10 @@ class TestPersistence:
         except LexnerError:
             pass
 
-    def test_text_debug_format(self, tmp_path):
-        table, inv = toy_table()
-        ls = build_ls_table(["north"], table, inv)
-        p = tmp_path / "table.txt"
-        save_ls_table_text(ls, p)
-        lines = p.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "# /t1 /t2 /t3"
-        fields = lines[1].split()
-        assert fields[0] == "north" and len(fields) == 4
+    def test_label_with_a_trailing_newline_rejected(self, tmp_path):
+        # a one-type table with no records, whose label is "/a\n"
+        p = tmp_path / "table.ls"
+        p.write_bytes(lexsim.LS_MAGIC + struct.pack("<BI", lexsim.LS_VERSION, 1)
+                      + struct.pack("<H", 3) + b"/a\n" + struct.pack("<Q", 0))
+        with pytest.raises(LexnerError, match="malformed type label"):
+            load_ls_table(p)

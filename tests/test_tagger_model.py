@@ -400,10 +400,13 @@ class TestEncodedOracle:
 
         for module in ("lexner.evaluation", "lexner.tagger.train"):
             monkeypatch.setattr(importlib.import_module(module), "tags_to_mentions", counted)
-        _, history = train(tagged_sentences(), dev, tiny_config(max_epochs=3, patience=3),
+        train_set = tagged_sentences()
+        _, history = train(train_set, dev, tiny_config(max_epochs=3, patience=3),
                            pretrained=table, ls_table=ls)
         assert len(history) == 3
-        assert modes.count(True) == len(dev)       # the gold tags, once per fit
+        # the gold tags, once per fit: the training tags by the BILOU check,
+        # the dev tags into the mentions every epoch is scored against
+        assert modes.count(True) == len(train_set) + len(dev)
         assert modes.count(False) == 3 * len(dev)  # the predicted tags, once per epoch
 
     def test_each_surface_is_looked_up_once_per_data_set(self, monkeypatch):
@@ -733,6 +736,19 @@ class TestTraining:
             train([Sentence.from_words(["a"])], tagged_sentences()[:1], tiny_config(),
                   pretrained=table, ls_table=ls)
 
+    @pytest.mark.parametrize("tags,position", [
+        (["B-X", "I-X", "O"], 2),  # IOB2: the mention is never closed
+        (["I-X", "I-X", "O"], 0),  # IOB1
+        (["U-X", "O", "B-X"], 2),  # open at the sentence end
+    ])
+    def test_train_tags_must_be_strict_bilou(self, tags, position):
+        table, inv, ls = tiny_world()
+        bad = Sentence.from_words(["the", "fox", "ran"], tags)
+        with pytest.raises(DataError, match=re.escape(f"training sentence 1 is not strict BILOU: "
+                                                      f"position {position}: ")):
+            train([tagged_sentences()[0], bad], tagged_sentences(), tiny_config(),
+                  pretrained=table, ls_table=ls)
+
     def test_empty_dev_set_rejected(self):
         table, inv, ls = tiny_world()
         with pytest.raises(DataError, match="empty dev set"):
@@ -776,7 +792,7 @@ class TestTagging:
     def test_masked_decode_is_structurally_valid(self):
         model, sents, _ = build_tiny_model()
         for s in sents:
-            tags = model.tag(s)
+            tags = model.tag_batch([s])[0]
             tags_to_mentions(tags, TagScheme.BILOU, strict=True)
 
     def test_tagging_is_deterministic(self):
@@ -786,7 +802,7 @@ class TestTagging:
     def test_batch_matches_single(self):
         model, sents, _ = build_tiny_model()
         batched = model.tag_batch(sents[:4])
-        singles = [model.tag(s) for s in sents[:4]]
+        singles = [model.tag_batch([s])[0] for s in sents[:4]]
         assert batched == singles
 
     def test_ragged_batch_with_empty_and_one_token_sentences(self):
@@ -798,7 +814,7 @@ class TestTagging:
         empty = Sentence.from_words([])
         batch = ([empty, Sentence.from_words(["fox"])] + sents
                  + [Sentence.from_words(["Gold"]), empty, empty, Sentence.from_words(["zzq"])])
-        singles = [model.tag(s) for s in batch]
+        singles = [model.tag_batch([s])[0] for s in batch]
         assert model.tag_batch(batch) == singles
         assert len({tuple(t) for t in singles}) > 4
         assert model.tag_batch([]) == []
