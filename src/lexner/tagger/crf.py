@@ -5,6 +5,15 @@ states, START = L and STOP = L+1. Row i, column j scores the move i -> j.
 The batched negative log-likelihood backpropagates through the stored
 forward variables and each step's stored log-sum-exp, which reproduces the
 forward-backward marginals without a separate backward recursion.
+
+The batched Viterbi decoder lays each step's scores out as (B, to, from),
+from the transposed pair block made contiguous once, so the argmax runs
+over the contiguous last axis, and the best score is gathered with one
+`take` at that argmax: the max is that element. Back-pointers are flat
+indices into a (B, L) block. A sentence that has ended gets identity
+back-pointers and keeps its best score, so the backtrace starts every
+sentence at the last step from its best final tag and makes one `take`
+per step; the carry runs only on steps where some sentence has ended.
 """
 from __future__ import annotations
 
@@ -52,7 +61,8 @@ def viterbi_decode_batched(
 
     Positions at or past a sentence's length are ignored. Ties break toward
     the lowest tag index. `allowed` is an optional (L+2, L+2) boolean
-    matrix; forbidden moves score -inf and can never appear in the result.
+    matrix; forbidden moves score -inf, so a path takes one only when its
+    score is -inf.
     Returns (one tag-id path per sentence, path scores (B,)).
     """
     T, B, L = emissions.shape
@@ -60,23 +70,34 @@ def viterbi_decode_batched(
         raise DataError("cannot decode an empty sentence")
     start, stop = L, L + 1
     trans = transitions if allowed is None else np.where(allowed, transitions, -np.inf)
+    pair = np.ascontiguousarray(trans[:L, :L].T)  # (to, from)
     best = trans[start, :L] + emissions[0]  # (B, L)
-    back = np.zeros((T, B, L), dtype=np.intp)
-    for t in range(1, T):
-        scores = best[:, :, None] + trans[None, :L, :L]  # (B, from, to)
+    # flat indices of (b, 0) and (b, to) in a (B, L) block and of (b, to, 0)
+    # in a (B, to, from) one; `take` clips instead of checking them
+    first = np.arange(B) * L
+    at = first[:, None] + np.arange(L)
+    at_row = at * L
+    back = np.empty((T, B, L), dtype=np.intp)  # back[t, b, to]: the flat (b, from)
+    scores = np.empty((B, L, L))
+    for t, full in enumerate(_every_sequence_active(lengths, T)[1:], start=1):
+        np.add(best[:, None, :], pair, out=scores)
         # argmax returns the first (lowest-index) maximizer
-        back[t] = np.argmax(scores, axis=1)
-        best = np.where((t < lengths)[:, None], scores.max(axis=1) + emissions[t], best)
+        ptr = np.argmax(scores, axis=2, out=back[t])
+        kept, best = best, scores.take(ptr + at_row, mode="clip")  # the max is that element
+        best += emissions[t]
+        ptr += first[:, None]
+        if not full:  # ended sentences pass their tag and score through
+            ended = (t >= lengths)[:, None]
+            np.copyto(ptr, at, where=ended)
+            np.copyto(best, kept, where=ended)
     final = best + trans[:L, stop]
-    last = np.argmax(final, axis=1)
-    score = final[np.arange(B), last]
     paths = np.empty((T, B), dtype=np.intp)
-    tag = last
-    for t in range(T - 1, -1, -1):
-        # a sentence's own last position restarts its trace from `last`
-        paths[t] = tag = np.where(t == lengths - 1, last, tag)
-        tag = back[t, np.arange(B), tag]
-    return [paths[:n, b].tolist() for b, n in enumerate(lengths)], score
+    paths[T - 1] = np.argmax(final, axis=1) + first
+    score = final.take(paths[T - 1])
+    for t in range(T - 1, 0, -1):
+        back[t].take(paths[t], out=paths[t - 1], mode="clip")
+    paths -= first
+    return [path[:n] for path, n in zip(paths.T.tolist(), lengths.tolist())], score
 
 
 def viterbi_decode(

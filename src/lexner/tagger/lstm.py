@@ -52,11 +52,15 @@ everywhere.
 Tagging runs no backward pass, so `lstm_forward(..., keep_cache=False)`
 keeps only what its outputs need: the hidden states, one slot that each
 step's gates and tanh of the cell state overwrite, and two slots that the
-cell state alternates between. Its outputs equal the cached call's bit for
-bit, since both run the same step loop. At the default tagger
-configuration, dropping the cache lowers the tracemalloc peak of
-`tag_batch` from 25.8 to 5.7 MiB on 100 sentences that include a 124-token
-one, and from 104 to 25 MiB on one run of 4,096 padded positions.
+cell state alternates between. The views a step uses (its gates block,
+that block's i/f/g/o columns and its tanh(c) slot) are made before the
+loop, one set per slot, so with one slot they are made once. Each step
+writes h @ wh straight into its gates slot and i * g over the candidate's
+buffer. Its outputs equal the cached call's bit for bit, since both run
+the same step loop. At the default tagger configuration, dropping the
+cache lowers the tracemalloc peak of `tag_batch` from 25.8 to 5.7 MiB on
+100 sentences that include a 124-token one, and from 104 to 25 MiB on one
+run of 4,096 padded positions.
 
 The forward cache is a dict: "x" the rows projected and "rows" ([S,] T, B)
 the index into them, or None when "x" holds the positions ([S,] T, B, D)
@@ -144,20 +148,23 @@ def lstm_forward(
     h[...] = c[...] = 0.0  # the initial state
     tanh_c = np.empty((steps, *stack, B, H))
     gates = np.empty((steps, *stack, B, 4 * H))
-    g = np.empty((*stack, B, H))  # the candidate, kept aside while i/f/o are finished
+    # each slot's gates, their i/f/g/o columns and its tanh(c), made before the loop
+    slots = [(a, a[..., :H], a[..., H : 2 * H], a[..., 2 * H : 3 * H], a[..., 3 * H :], tc)
+             for a, tc in zip(gates, tanh_c)]
+    g = np.empty((*stack, B, H))  # the candidate, kept aside while i/f/o are finished; then i * g
     for t in range(T):
-        a = h @ wh
-        a += a_rows.take(at[t], axis=0)
-        act = np.tanh(a, out=gates[t % steps])  # tanh(x / 2) on i/f/o, tanh(x) on g
-        np.copyto(g, act[..., 2 * H : 3 * H])
+        act, i, f, cand, o, tanh_c_t = slots[t % steps]
+        np.matmul(h, wh, out=act)
+        act += a_rows.take(at[t], axis=0)
+        np.tanh(act, out=act)  # tanh(x / 2) on i/f/o, tanh(x) on g
+        g[...] = cand
         act += 1.0
         act *= 0.5
         if keep_cache:  # the backward pass reads the candidate from the cache
-            act[..., 2 * H : 3 * H] = g
-        i, f, o = act[..., :H], act[..., H : 2 * H], act[..., 3 * H :]
+            cand[...] = g
         c_t = np.multiply(f, c, out=c_buf[(t + 1) % len(c_buf)])
-        c_t += i * g
-        tanh_c_t = np.tanh(c_t, out=tanh_c[t % steps])
+        c_t += np.multiply(i, g, out=g)
+        np.tanh(c_t, out=tanh_c_t)
         h_t = np.multiply(o, tanh_c_t, out=h_buf[t + 1])
         if not full[t]:  # ended sequences carry their states
             np.copyto(h_t, h, where=pad[t])

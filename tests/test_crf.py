@@ -160,13 +160,17 @@ class TestViterbi:
 
 class TestViterbiBatched:
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=6), st.integers(0, 2),
-           st.integers(2, 5), st.booleans(), st.booleans(), st.integers(0, 2**16))
-    @settings(max_examples=150, deadline=None)
-    def test_matches_reference(self, lengths, pad, L, ties, bilou, seed):
+           st.integers(1, 5), st.booleans(),
+           st.sampled_from([None, "bilou", "random", "row", "column"]), st.booleans(),
+           st.integers(0, 2**16))
+    @example([2, 4, 1], 1, 3, False, "bilou", False, 0)  # every sentence shorter than T
+    @example([5], 0, 4, True, "row", True, 1)  # B = 1
+    @example([3, 3, 3], 0, 1, True, "column", True, 2)  # all lengths equal, L = 1
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, lengths, pad, L, ties, mask, neg_inf, seed):
         rng = np.random.default_rng(seed)
-        if bilou:
+        if mask == "bilou":
             L = len(BILOU_X)
-        allowed = bilou_allowed_transitions(BILOU_X) if bilou else None
         T, B = max(lengths) + pad, len(lengths)
         if ties:  # small integers: many equal-scoring paths
             em = rng.integers(-2, 3, size=(T, B, L)).astype(float)
@@ -174,12 +178,23 @@ class TestViterbiBatched:
         else:
             em = rng.normal(size=(T, B, L))
             trans = rng.normal(size=(L + 2, L + 2))
+        if neg_inf:
+            em[rng.random(em.shape) < 0.2] = -np.inf
+        allowed = None
+        if mask == "bilou":
+            allowed = bilou_allowed_transitions(BILOU_X)
+        elif mask is not None:
+            allowed = rng.random((L + 2, L + 2)) < 0.7
+            if mask == "row":  # every move out of one state is forbidden
+                allowed[rng.integers(L + 2)] = False
+            elif mask == "column":  # every move into one state is forbidden
+                allowed[:, rng.integers(L + 2)] = False
         paths, scores = viterbi_decode_batched(em, np.array(lengths), trans, allowed)
         assert scores.shape == (B,)
         for b, n in enumerate(lengths):
             path, score = ref_viterbi(em[:n, b], trans, allowed)
             assert paths[b] == path
-            assert scores[b] == score
+            assert scores[b].tobytes() == np.float64(score).tobytes()
 
     def test_padding_values_are_ignored(self):
         rng = np.random.default_rng(4)

@@ -593,6 +593,8 @@ class TestCacheFree:
     @example([0], 1, 0, False, 3)            # B = 1, padding only
     @example([6], 0, 2, False, 4)            # B = 1, unstacked, rows
     @example([4, 4, 4], 0, 0, False, 5)      # every step full, no rows
+    @example([1, 1], 0, 3, True, 6)          # T = 1
+    @example([1, 4, 3], 0, 5, True, 7)       # stacked, padding from step 1
     @settings(max_examples=80, deadline=None)
     def test_equals_cached_call(self, lengths, pad, n_rows, stacked, seed):
         rng = np.random.default_rng(seed)
