@@ -192,6 +192,8 @@ def _load_gazetteer(pairs: list[str] | None) -> Gazetteer | None:
         name, eq, path = pair.partition("=")
         if not eq or not name:
             raise UsageError(f"--gazetteer expects NAME=PATH, got {pair!r}")
+        if name in lists:
+            raise UsageError(f"--gazetteer names {name!r} twice")
         lists[name] = [ln.strip() for ln in read_lines(path) if ln.strip()]
     return Gazetteer(lists)
 
@@ -369,12 +371,7 @@ def cmd_ablate(args) -> int:
         scores = []
         for r in range(args.runs):
             tcfg = replace(cfg.tagger, seed=base + r, features=feats)
-            model, _ = train(
-                train_set, dev_set, tcfg,
-                pretrained if "word_emb" in feats else None,
-                ls if "ls" in feats else None,
-                gaz if "gazetteer" in feats else None,
-            )
+            model, _ = train(train_set, dev_set, tcfg, pretrained, ls, gaz)
             f1 = evaluate(test_set, model.tag_batch(test_set)).f1
             scores.append(f1)
             progress_to_stderr(
@@ -413,10 +410,8 @@ def cmd_gradcheck(args) -> int:
         list(inventory.labels) + vocab,
         rng.normal(size=(len(inventory) + len(vocab), 5)).astype(np.float32),
     )
-    ls = build_ls_table(vocab, table, inventory) if "ls" in tcfg.features else None
-    gaz = None
-    if "gazetteer" in tcfg.features:
-        gaz = Gazetteer({"animals": ["fox", "crow"], "metals": ["iron barn"]})
+    ls = build_ls_table(vocab, table, inventory)
+    gaz = Gazetteer({"animals": ["fox", "crow"], "metals": ["iron barn"]})
     tags = sorted({t for s in sents for t in s.tags})
     charset = sorted({c for s in sents for tok in s.tokens for c in tok.surface})
     model = TaggerModel.build(tcfg, tags, charset, table, ls, gaz)
@@ -437,6 +432,9 @@ def cmd_synth(args) -> int:
     seed = args.seed if args.seed is not None else 1
     if seed < 0:
         raise DataError("seed must be non-negative")
+    for flag in ("sentences", "train_size", "dev_size", "test_size"):
+        if getattr(args, flag) < 0:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 0, got {getattr(args, flag)}")
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     world = make_world(seed=seed)

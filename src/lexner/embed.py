@@ -184,6 +184,14 @@ class EmbedConfig:
             raise DataError("seed must be non-negative")
 
 
+def lowercase_index(words: Sequence[str], start: int = 0) -> dict[str, int]:
+    """Each lowercased word's row, `start` plus its position in `words`; of
+    a word's case variants the first is the one indexed."""
+    lowered = [w.lower() for w in words]
+    # built from the last row back, so a word's first case variant is kept
+    return dict(zip(reversed(lowered), range(start + len(lowered) - 1, start - 1, -1)))
+
+
 class EmbeddingTable:
     """Trained vectors: one row per vocabulary word plus n-gram buckets.
 
@@ -215,10 +223,8 @@ class EmbeddingTable:
         if len(words) != vectors.shape[0]:
             raise DataError(f"{len(words)} words but {vectors.shape[0]} vector rows")
         self.words = list(words)
-        lowered = [w.lower() for w in self.words]
-        # built from the last row back, so a word's first case variant is kept
-        self.word_index = dict(zip(reversed(lowered), range(len(lowered) - 1, -1, -1)))
-        if len(self.word_index) < len(lowered) and len(set(self.words)) < len(self.words):
+        self.word_index = lowercase_index(self.words)
+        if len(self.word_index) < len(self.words) and len(set(self.words)) < len(self.words):
             raise DataError("duplicate words in embedding table")
         self.vectors = vectors
         self.bucket_vectors = (

@@ -34,6 +34,10 @@ FILLERS = (
     "near", "very",
 )
 
+STEMS_PER_TYPE = 12
+CONTEXTS_PER_TYPE = 8
+STEM_SYLLABLES = 3
+
 PLANT_SUFFIX = "et"
 VARIANT_SUFFIX = "ix"
 
@@ -46,9 +50,9 @@ _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
 
 
-def _stem(rng: np.random.Generator, syllables: int = 3) -> str:
+def _stem(rng: np.random.Generator) -> str:
     out = []
-    for _ in range(syllables):
+    for _ in range(STEM_SYLLABLES):
         out.append(_CONSONANTS[int(rng.integers(len(_CONSONANTS)))])
         out.append(_VOWELS[int(rng.integers(len(_VOWELS)))])
     return "".join(out)
@@ -88,22 +92,17 @@ class SynthWorld:
         return {self.variant(s): t for t in self.inventory for s in self.stems[t]}
 
 
-def make_world(
-    seed: int = 1,
-    stems_per_type: int = 12,
-    contexts_per_type: int = 8,
-    labels: tuple[str, ...] = TYPE_LABELS,
-) -> SynthWorld:
+def make_world(seed: int = 1) -> SynthWorld:
     rng = np.random.default_rng((seed, 11))
     taken: set[str] = set(FILLERS)
     stems: dict[str, list[str]] = {}
     contexts: dict[str, list[str]] = {}
-    for label in labels:
-        stems[label] = _fresh_stems(rng, stems_per_type, taken)
+    for label in TYPE_LABELS:
+        stems[label] = _fresh_stems(rng, STEMS_PER_TYPE, taken)
         # context words carry no entity suffix; make them a little longer so
         # their character n-grams stay clear of the stems'
-        contexts[label] = [w + "on" for w in _fresh_stems(rng, contexts_per_type, taken)]
-    return SynthWorld(TypeInventory(list(labels)), stems, contexts)
+        contexts[label] = [w + "on" for w in _fresh_stems(rng, CONTEXTS_PER_TYPE, taken)]
+    return SynthWorld(TypeInventory(list(TYPE_LABELS)), stems, contexts)
 
 
 def distant_sentences(

@@ -5,10 +5,10 @@ the embedding files). The LS block is a frozen lookup: it contributes
 features but never receives gradient, and its table bytes are untouched by
 training.
 
-Feature blocks are concatenated in a fixed order (word embedding, char
+Feature blocks sit side by side in a fixed order (word embedding, char
 BiLSTM representation, capitalization embedding, LS vector, gazetteer
-bits); disabled blocks are simply omitted and every downstream dimension
-shrinks to match. Sentences reach the network through `TaggerModel.encode`,
+bits), each at the columns `TaggerModel.slices` fixes; disabled blocks are
+omitted and every downstream dimension shrinks to match. Sentences reach the network through `TaggerModel.encode`,
 which looks up each distinct surface of a data set once; a training batch
 is a selection of encoded sentences, and every tagging request is encoded
 on its own.
@@ -35,7 +35,7 @@ import numpy as np
 
 from .. import binfile
 from ..corpus import Sentence, capitalization_class
-from ..embed import EmbeddingTable
+from ..embed import EmbeddingTable, lowercase_index
 from ..errors import DataError, FormatError
 from ..lexsim import LSTable
 from .crf import (
@@ -279,8 +279,11 @@ class TaggerModel:
     `shapes` is the name and shape of every trainable tensor in build order,
     which is also the checkpoint order; the config, the tag, char and word
     lists, the pretrained width `word_dim` and the frozen tables fix it.
-    `params`, a `ParamStore` of that layout, is filled by `build` or
-    `load_checkpoint`.
+    `slices` is each used feature block's columns of the word BiLSTM's
+    input. Only the tables the config's blocks read are kept: the word list,
+    `ls_table` and `gazetteer` of a block that is off are dropped, so they
+    reach neither the input nor a checkpoint. `params`, a `ParamStore` of
+    that layout, is filled by `build` or `load_checkpoint`.
     """
 
     params: ParamStore
@@ -302,27 +305,28 @@ class TaggerModel:
         self.tag_index = {t: i for i, t in enumerate(self.tags)}
         self.chars = list(chars)
         self.char_index = {c: i + 1 for i, c in enumerate(self.chars)}  # 0 = UNK
-        self.words = list(words)  # pretrained vocab; row 0 of word_emb is UNK
-        # lookups are lowercased, as every pretrained-vocabulary lookup is; of
-        # a cased vocabulary's case variants the first row is the one read
-        self.word_index: dict[str, int] = {}
-        for i, w in enumerate(self.words):
-            self.word_index.setdefault(w.lower(), i + 1)
-        self.word_dim = word_dim
-        self.ls_table = ls_table
-        self.gazetteer = gazetteer
+        self.words = list(words) if config.uses("word_emb") else []  # row 0 of word_emb is UNK
+        # the table's lowercased index, so the model reads the row the table does
+        self.word_index = lowercase_index(self.words, start=1)
+        self.word_dim = word_dim if config.uses("word_emb") else 0
+        self.ls_table = ls_table if config.uses("ls") else None
+        self.gazetteer = gazetteer if config.uses("gazetteer") else None
         if config.uses("ls") and ls_table is None:
             raise DataError("config enables the ls block but no LS table was given")
         if config.uses("gazetteer") and gazetteer is None:
             raise DataError("config enables the gazetteer block but none was given")
-        width = {"word_emb": word_dim, "char": 2 * config.char_hidden, "cap": config.cap_emb_dim,
-                 "ls": ls_table.dim if ls_table is not None else 0,
-                 "gazetteer": len(gazetteer) if gazetteer is not None else 0}
-        used = [f for f in FEATURE_NAMES if config.uses(f)]
-        empty = [f for f in used if width[f] < 1]
-        if empty:
-            raise DataError(f"feature block {empty[0]} has input width 0")
-        self.input_dim = sum(width[f] for f in used)
+        width = {"word_emb": self.word_dim, "char": 2 * config.char_hidden,
+                 "cap": config.cap_emb_dim,
+                 "ls": 0 if self.ls_table is None else self.ls_table.dim,
+                 "gazetteer": 0 if self.gazetteer is None else len(self.gazetteer)}
+        self.slices: dict[str, slice] = {}
+        at = 0
+        for f in filter(config.uses, FEATURE_NAMES):
+            if width[f] < 1:
+                raise DataError(f"feature block {f} has input width 0")
+            self.slices[f] = slice(at, at + width[f])
+            at += width[f]
+        self.input_dim = at
 
         shapes: dict[str, tuple[int, ...]] = {}
         if config.uses("word_emb"):
@@ -518,38 +522,26 @@ class TaggerModel:
         ctx: dict = {"real": real, "type_at": type_at}
 
         table = batch.table
-        blocks: dict[str, np.ndarray] = {}  # (n_types, d) per block that reads the surface alone
+        sl = self.slices
+        x = np.zeros((len(types) + 1, self.input_dim))
         if cfg.uses("word_emb"):
             ctx["wids"] = table["word_ids"][types]
-            blocks["word_emb"] = self.params["word_emb"][ctx["wids"]]
+            x[:-1, sl["word_emb"]] = self.params["word_emb"][ctx["wids"]]
         if cfg.uses("char"):
             lens = table["char_len"][types]
             pos = np.arange(max(1, int(lens.max())))[:, None]
             cids = np.where(pos < lens, table["char_ids"].take(table["char_start"][types] + pos,
                                                                mode="clip"), 0)
-            blocks["char"], ctx["char"] = self._char_reps(cids, np.maximum(lens, 1), backward)
+            x[:-1, sl["char"]], ctx["char"] = self._char_reps(cids, np.maximum(lens, 1), backward)
         if cfg.uses("cap"):
             ctx["caps"] = table["caps"][types]
-            blocks["cap"] = self.params["cap_emb"][ctx["caps"]]
+            x[:-1, sl["cap"]] = self.params["cap_emb"][ctx["caps"]]
         if cfg.uses("ls"):
-            blocks["ls"] = table["ls"][types]
-
-        widths = {name: r.shape[1] for name, r in blocks.items()}
-        if cfg.uses("gazetteer"):
-            widths["gazetteer"] = len(self.gazetteer)
-        ctx["slices"] = {}
-        at = 0
-        for name, d in widths.items():
-            ctx["slices"][name] = slice(at, at + d)
-            at += d
-        x = np.zeros((len(types) + 1, at))
-        if blocks:
-            surface = np.concatenate(list(blocks.values()), axis=1)
-            x[:-1, : surface.shape[1]] = surface
+            x[:-1, sl["ls"]] = table["ls"][types]
         if cfg.uses("gazetteer"):
             x = x[rows]
-            np.swapaxes(x, 0, 1)[real.T, ctx["slices"]["gazetteer"]] = batch.gazetteer
-            x, rows = x.reshape(T * B, at), _positions(T, B)
+            np.swapaxes(x, 0, 1)[real.T, sl["gazetteer"]] = batch.gazetteer
+            x, rows = x.reshape(T * B, self.input_dim), _positions(T, B)
         return x, rows, lengths, mask, ctx
 
     # -- forward/backward ---------------------------------------------------
@@ -568,15 +560,14 @@ class TaggerModel:
         batch: Encoded,
         train: bool = False,
         rng: np.random.Generator | None = None,
-        corrupt: str | None = None,
     ) -> tuple[float, ParamStore]:
         """Batch NLL and gradients for every trainable parameter tensor.
 
         `batch` is sentences as `encode(..., gold=True)` gives them.
         Training mode applies fresh per-timestep dropout masks to the word
-        BiLSTM's input and output vectors; rng is required then. `corrupt`
-        names a parameter whose gradient is deliberately damaged, for
-        exercising the gradient checker's failure path.
+        BiLSTM's input and output vectors; rng is required then. The
+        gradient of each trainable block is read from its `slices` columns
+        of the word BiLSTM's input gradient.
         """
         cfg = self.config
         if batch.gold is None:
@@ -621,7 +612,7 @@ class TaggerModel:
         if drop_in is not None:
             dx = dx * drop_in
 
-        sl = ctx["slices"]
+        sl = self.slices
         type_at = ctx["type_at"]
         dx_real = dx[ctx["real"]]
         # each gradient below starts at zero, so its row sums set it
@@ -637,11 +628,6 @@ class TaggerModel:
         if cfg.uses("cap"):
             grads["cap_emb"] = _row_sums(ctx["caps"][type_at], dx_real[:, sl["cap"]], N_CAP_CLASSES)
         # ls and gazetteer blocks are frozen: no gradient routes to them
-
-        if corrupt is not None:
-            if corrupt not in grads:
-                raise DataError(f"cannot corrupt unknown parameter {corrupt!r}")
-            grads[corrupt] = grads[corrupt] + 1e-2 * (np.abs(grads[corrupt]) + 1.0)
         return nll, grads
 
     # -- inference ----------------------------------------------------------
@@ -768,8 +754,9 @@ def load_checkpoint(path: str | Path, ls_table: LSTable | None = None) -> Tagger
     cfg = header["config"]
     gaz = None if header["gazetteer"] is None else Gazetteer(header["gazetteer"])
     model = TaggerModel(cfg, header["tags"], header["chars"], header["words"], header["word_dim"],
-                        ls_table if cfg.uses("ls") else None, gaz)
-    if cfg.uses("ls") and header["ls_hash"] and ls_table.content_hash() != header["ls_hash"]:
+                        ls_table, gaz)
+    ls = model.ls_table
+    if ls is not None and header["ls_hash"] and ls.content_hash() != header["ls_hash"]:
         raise DataError("LS table content hash does not match the checkpoint")
     values = {name: r.floats(math.prod(shape), f"tensor {name!r}")
               for name, shape in model.shapes.items()}

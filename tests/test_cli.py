@@ -96,6 +96,15 @@ class TestConfigParsing:
         with pytest.raises(UsageError, match="paths.embeddings: a path cannot contain a NUL"):
             parse_config_text("paths.embeddings = vec\x00tors.vec", PipelineConfig())
 
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        start = readme.index("# pipeline.cfg\n")
+        cfg = PipelineConfig()
+        parse_config_text(readme[start : readme.index("```", start)], cfg)
+        assert cfg.embed.seed == cfg.tagger.seed == 7
+        assert cfg.tagger.features == ("word_emb", "char", "cap", "ls")
+        assert cfg.paths["embeddings"] == "corpus/vectors.vec"
+
     def test_type_errors_name_the_key(self):
         with pytest.raises(UsageError, match="embed.dim"):
             parse_config_text("embed.dim = wide", PipelineConfig())
@@ -712,6 +721,26 @@ class TestExitCodes:
         assert main(["synth", "--output", str(tmp_path / "out"), "--seed", "-1"]) == 2
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--sentences", "--train-size", "--dev-size", "--test-size"])
+    def test_negative_synth_size(self, tmp_path, capsys, flag):
+        assert main(["synth", "--output", str(tmp_path / "out"), flag, "-3"]) == 1
+        assert f"{flag} must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_gazetteer_name(self, bins, tmp_path, capsys):
+        lists = []
+        for name in ("a.txt", "b.txt"):
+            (tmp_path / name).write_text(f"{name}\n")
+            lists.append(f"animals={tmp_path / name}")
+        with pytest.raises(UsageError, match="--gazetteer names 'animals' twice"):
+            _load_gazetteer(lists)
+        out = tmp_path / "model.ckpt"
+        assert main(["train-ner", "--train", str(bins / "train.txt"), "--dev", str(bins / "train.txt"),
+                     "--output", str(out), "--embeddings", str(bins / "vectors.vec"),
+                     "--ls-table", str(bins / "table.lstb"), *TINY_FLAGS,
+                     "--gazetteer", lists[0], "--gazetteer", lists[1]]) == 1
+        assert "'animals' twice" in capsys.readouterr().err and not out.exists()
 
     def test_negative_tagger_seed(self, bins, tmp_path, capsys):
         out = tmp_path / "model.ckpt"

@@ -468,8 +468,8 @@ class TestGradients:
 
     def test_corrupt_unknown_name(self):
         model, sents, _ = build_tiny_model()
-        with pytest.raises(DataError):
-            model.nll_and_gradients(model.encode(sents[:1], gold=True), corrupt="nope")
+        with pytest.raises(DataError, match="cannot corrupt unknown parameter 'nope'"):
+            gradient_check(model, sents[:1], corrupt="nope")
 
     def test_eval_mode_is_pure(self):
         model, sents, _ = build_tiny_model()
@@ -993,6 +993,25 @@ class TestCheckpoint:
                         entries={"the": np.ones(ls.dim, dtype=np.float32)})
         with pytest.raises(DataError):
             load_checkpoint(path, ls_table=other)
+
+    @pytest.mark.parametrize("block", ["word_emb", "ls", "gazetteer"])
+    def test_a_table_for_a_block_that_is_off_is_not_kept(self, tmp_path, block):
+        # the fit, its tags and its checkpoint equal those of a model never
+        # given the table, whose header holds no words, no hash, no gazetteer
+        table, _, ls = tiny_world()
+        tables = {"pretrained": table, "ls_table": ls,
+                  "gazetteer": Gazetteer({"beasts": ["fox", "crow"]})}
+        key = {"word_emb": "pretrained", "ls": "ls_table", "gazetteer": "gazetteer"}[block]
+        features = tuple(f for f in ("word_emb", "char", "cap", "ls", "gazetteer") if f != block)
+        cfg = tiny_config(features=features, max_epochs=2)
+        sents = tagged_sentences()
+        given_it, _ = train(sents, sents, cfg, **tables)
+        without, _ = train(sents, sents, cfg, **{k: v for k, v in tables.items() if k != key})
+        assert given_it.params.flat.tobytes() == without.params.flat.tobytes()
+        assert given_it.tag_batch(sents) == without.tag_batch(sents)
+        save_checkpoint(given_it, tmp_path / "given.lxnr")
+        save_checkpoint(without, tmp_path / "without.lxnr")
+        assert (tmp_path / "given.lxnr").read_bytes() == (tmp_path / "without.lxnr").read_bytes()
 
     def test_frozen_tables_are_required(self, tmp_path):
         gaz = Gazetteer({"metalish": ["iron rust", "gold"]})
