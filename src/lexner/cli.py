@@ -3,8 +3,8 @@
 Stages compose through files: prepare-dual writes the two-view token stream,
 train-embed fits vectors on it, build-ls precomputes the per-word type
 similarity table, train-ner fits the tagger, tag and eval close the loop.
-ablate and gradcheck are verification utilities; synth generates the bundled
-synthetic corpus the whole chain can be exercised on.
+ablate compares feature sets; synth generates the bundled synthetic corpus
+the whole chain can be exercised on.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 numerical failure. Progress
 lines go to standard error; machine output to standard out or files only.
@@ -17,8 +17,6 @@ import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from .corpus import (
     _column_sentences,
@@ -35,7 +33,7 @@ from .corpus import (
     tags_to_mentions,
     write_column_file,
 )
-from .embed import EmbedConfig, EmbeddingTable, load_embeddings, save_embeddings, train_skipgram
+from .embed import EmbedConfig, load_embeddings, save_embeddings, train_skipgram
 from .errors import DataError, LexnerError, NumericalError, UsageError
 from .evaluation import evaluate
 from .lexsim import (
@@ -45,8 +43,7 @@ from .lexsim import (
     top_k_types,
 )
 from .synth import distant_sentences, make_world, ner_dataset
-from .tagger import Gazetteer, TaggerConfig, TaggerModel, train
-from .tagger.gradcheck import gradient_check
+from .tagger import Gazetteer, TaggerConfig, train
 from .tagger.model import load_checkpoint, save_checkpoint
 from .tagger.train import progress_to_stderr
 
@@ -386,48 +383,6 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-_GRADCHECK_SENTENCES = [
-    (["the", "red", "Fox", "ran"], ["O", "O", "U-/animal", "O"]),
-    (["iron", "Barn", "holds"], ["B-/metal", "L-/metal", "O"]),
-    (["a", "crow"], ["O", "U-/animal"]),
-]
-
-
-def cmd_gradcheck(args) -> int:
-    cfg = load_pipeline_config(args)
-    # tiny fixed shapes keep the element-wise central-difference sweep fast;
-    # the feature set and the seed still come from the config
-    tcfg = replace(
-        cfg.tagger,
-        word_hidden=6, char_emb_dim=4, char_hidden=3, cap_emb_dim=3,
-        dropout_prob=0.0,
-    )
-    sents = [Sentence.from_words(w, tags=t) for w, t in _GRADCHECK_SENTENCES]
-    inventory = TypeInventory(["/animal", "/color", "/metal"])
-    vocab = sorted({t.lower for s in sents for t in s.tokens})
-    rng = np.random.default_rng(tcfg.seed)
-    table = EmbeddingTable(
-        list(inventory.labels) + vocab,
-        rng.normal(size=(len(inventory) + len(vocab), 5)).astype(np.float32),
-    )
-    ls = build_ls_table(vocab, table, inventory)
-    gaz = Gazetteer({"animals": ["fox", "crow"], "metals": ["iron barn"]})
-    tags = sorted({t for s in sents for t in s.tags})
-    charset = sorted({c for s in sents for tok in s.tokens for c in tok.surface})
-    model = TaggerModel.build(tcfg, tags, charset, table, ls, gaz)
-
-    report = gradient_check(model, sents, corrupt=args.corrupt)
-    for name in sorted(report):
-        print(f"{name}\t{report[name]:.3e}")
-    worst = max(report.values())
-    ok = worst <= args.tolerance
-    print(
-        f"# max_relative_error = {worst:.3e}, tolerance = {args.tolerance:.0e}: "
-        + ("PASS" if ok else "FAIL")
-    )
-    return 0 if ok else 3
-
-
 def cmd_synth(args) -> int:
     seed = args.seed if args.seed is not None else 1
     if seed < 0:
@@ -576,15 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("gradcheck",
-                       help="audit analytic gradients against central finite differences")
-    p.add_argument("--tolerance", type=float, default=1e-4,
-                   help="max relative error allowed per parameter block")
-    p.add_argument("--corrupt", metavar="BLOCK",
-                   help="perturb one gradient block to demonstrate the failure path")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_gradcheck)
-
     p = sub.add_parser("synth", help="generate the bundled synthetic corpus and NER splits")
     p.add_argument("--output", required=True, help="directory to write into")
     p.add_argument("--sentences", type=int, default=20_000,
@@ -611,6 +557,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (LexnerError, OSError) as e:
         print(f"lexner: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"lexner: {args.command}: out of memory: {e}", file=sys.stderr)
         return 2
 
 

@@ -7,10 +7,7 @@ by absolute difference instead of blowing up.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from ..corpus import Sentence
-from ..errors import DataError
 from .model import TaggerModel
 
 DEFAULT_STEP = 1e-5
@@ -25,17 +22,10 @@ def gradient_check(
     model: TaggerModel,
     batch: list[Sentence],
     step: float = DEFAULT_STEP,
-    corrupt: str | None = None,
 ) -> dict[str, float]:
-    """Max relative error per parameter block on one batch. `corrupt` names
-    a parameter whose analytic gradient is damaged before the comparison, to
-    exercise the failure path; a name the model lacks is a DataError."""
+    """Max relative error per parameter block on one batch."""
     batch = model.encode(batch, gold=True)
     _, grads = model.nll_and_gradients(batch, train=False)
-    if corrupt is not None:
-        if corrupt not in grads:
-            raise DataError(f"cannot corrupt unknown parameter {corrupt!r}")
-        grads[corrupt] = grads[corrupt] + 1e-2 * (np.abs(grads[corrupt]) + 1.0)
 
     def loss() -> float:
         return model.nll_and_gradients(batch, train=False)[0]

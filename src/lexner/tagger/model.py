@@ -36,7 +36,7 @@ import numpy as np
 from .. import binfile
 from ..corpus import Sentence, capitalization_class
 from ..embed import EmbeddingTable, lowercase_index
-from ..errors import DataError, FormatError
+from ..errors import DataError, FormatError, NumericalError
 from ..lexsim import LSTable
 from .crf import (
     bilou_allowed_transitions,
@@ -719,7 +719,15 @@ def _read_header(blob: bytes) -> dict:
 
 def save_checkpoint(model: TaggerModel, path: str | Path) -> None:
     """Single binary file: magic, version, JSON header, float32 tensors in
-    `model.shapes` order."""
+    `model.shapes` order. A parameter that overflows float32 (a diverged
+    fit) is a NumericalError, raised before the file is opened."""
+    tensors = []
+    for name, v in model.params.items():
+        with np.errstate(over="ignore"):
+            v32 = np.asarray(v, dtype="<f4")
+        if not np.isfinite(v32).all():
+            raise NumericalError(f"parameter {name!r} does not fit in float32; the fit diverged")
+        tensors.append(v32.tobytes())
     gaz = model.gazetteer
     header = {
         "version": CHECKPOINT_VERSION,
@@ -735,8 +743,7 @@ def save_checkpoint(model: TaggerModel, path: str | Path) -> None:
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(binfile.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "I", len(blob)) + blob)
-        for v in model.params.values():
-            fh.write(binfile.floats(v))
+        fh.writelines(tensors)
 
 
 def load_checkpoint(path: str | Path, ls_table: LSTable | None = None) -> TaggerModel:

@@ -665,32 +665,17 @@ class TestAblate:
 
 
 # ---------------------------------------------------------------------------
-# gradcheck and exit codes
+# exit codes
 # ---------------------------------------------------------------------------
-
-class TestGradcheckCommand:
-    def test_default_config_passes(self, capsys):
-        assert main(["gradcheck"]) == 0
-        out = capsys.readouterr().out
-        assert out.strip().endswith("PASS")
-        # one diagnostic row per parameter block
-        assert sum(1 for ln in out.splitlines() if "\t" in ln) >= 10
-
-    def test_corrupted_block_fails(self, capsys):
-        assert main(["gradcheck", "--corrupt", "proj_w"]) == 3
-        assert capsys.readouterr().out.strip().endswith("FAIL")
-
-    def test_unknown_corrupt_block_is_data_error(self):
-        assert main(["gradcheck", "--corrupt", "nonesuch"]) == 2
-
 
 class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         assert main(["tag", "--input", "x.txt"]) == 1
         assert "--checkpoint" in capsys.readouterr().err
 
-    def test_unknown_command(self):
-        assert main(["frobnicate"]) == 1
+    @pytest.mark.parametrize("command", ["frobnicate", "gradcheck"])
+    def test_unknown_command(self, command):
+        assert main([command]) == 1
 
     def test_train_embed_on_one_word_vocabulary(self, tmp_path, capsys):
         src = tmp_path / "one.txt"
@@ -749,6 +734,42 @@ class TestExitCodes:
                      "--ls-table", str(bins / "table.lstb"), *TINY_FLAGS,
                      "--set", "tagger.seed=-1"]) == 2
         assert "seed must be non-negative" in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.parametrize("command,target,flags", [
+        ("train-embed", "lexner.cli.train_skipgram", ["--input", "{d}/vocab.txt"]),
+        ("tag", "lexner.tagger.model.TaggerModel.tag_batch",
+         ["--checkpoint", "{d}/model.ckpt", "--ls-table", "{d}/table.lstb", "--input", "{d}/train.txt"]),
+    ], ids=["train-embed", "tag"])
+    def test_out_of_memory_names_the_command(self, bins, tmp_path, capsys, monkeypatch,
+                                             command, target, flags):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(target, no_memory)
+        out = tmp_path / "out"
+        assert main([command, *(f.format(d=bins) for f in flags), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"lexner: {command}: out of memory: Unable to allocate 72.8 TiB" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("rate,diverges", [("1e300", True), ("1e38", True),
+                                              ("1e20", False), ("1e5", False)])
+    def test_a_written_checkpoint_loads(self, bins, tmp_path, capsys, rate, diverges):
+        """A fit writes a checkpoint that `tag` loads, or it diverged: then it
+        exits 3 and leaves the file at its output path as it was."""
+        out = tmp_path / "model.ckpt"
+        out.write_bytes(b"an earlier file")
+        rc = main(["train-ner", "--train", str(bins / "train.txt"), "--dev", str(bins / "train.txt"),
+                   "--output", str(out), "--embeddings", str(bins / "vectors.vec"),
+                   "--ls-table", str(bins / "table.lstb"), *TINY_FLAGS,
+                   "--set", f"tagger.learning_rate={rate}", "--set", "tagger.max_epochs=2"])
+        if diverges:
+            assert rc == 3 and "does not fit in float32; the fit diverged" in capsys.readouterr().err
+            assert out.read_bytes() == b"an earlier file"
+        else:
+            assert rc == 0
+            assert main(["tag", "--checkpoint", str(out), "--ls-table", str(bins / "table.lstb"),
+                         "--input", str(bins / "train.txt"), "--output", str(tmp_path / "tags.txt")]) == 0
 
     def test_train_ner_with_an_empty_dev_set(self, bins, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
