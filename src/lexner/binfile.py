@@ -51,13 +51,13 @@ def finite(values: np.ndarray, at: int, what: str) -> np.ndarray:
 
 
 class Reader:
-    """Fields read in order from a file's bytes, from offset `at` on. When
-    `data` is only a part of the file, `origin` is the file offset of its
-    first byte, and errors give offsets in the file."""
+    """Fields read in order from a file's bytes; `at` is the offset of the
+    next one. When `data` is only a part of the file, `origin` is the file
+    offset of its first byte, and errors give offsets in the file."""
 
-    def __init__(self, data: bytes, at: int = 0, origin: int = 0):
+    def __init__(self, data: bytes, origin: int = 0):
         self.data = memoryview(data)
-        self.at = at
+        self.at = 0
         self.origin = origin
 
     def take(self, n: int, what: str) -> memoryview:

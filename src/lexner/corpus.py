@@ -381,41 +381,45 @@ def tags_to_mentions(
     return mentions
 
 
+def bilou_grammar(tags: Sequence[str]) -> tuple[list[bool], list[list[bool]], list[bool]]:
+    """Strict BILOU decoding's grammar over a tag set: which tags may open a
+    sentence, which may follow each one (row i, column j: may j follow i),
+    and after which a sentence may end. The next tag continues the open
+    mention or is one `_refusal` lets stand; B and I leave a mention open."""
+    parsed = [split_tag(tag, TagScheme.BILOU, i) for i, tag in enumerate(tags)]
+
+    def may_follow(open_type: str | None) -> list[bool]:
+        return [(prefix in "IL" and etype == open_type)
+                or _refusal(prefix, etype, TagScheme.BILOU, open_type) is None
+                for prefix, etype in parsed]
+
+    left_open = [etype if prefix in "BI" else None for prefix, etype in parsed]
+    rows = {open_type: may_follow(open_type) for open_type in {None, *left_open}}
+    return rows[None], [rows[t] for t in left_open], [t is None for t in left_open]
+
+
 def mentions_to_tags(
     mentions: Sequence[Mention], length: int, scheme: TagScheme = TagScheme.BILOU
 ) -> list[str]:
-    """Encode non-overlapping mentions as a tag sequence of the given length."""
-    ordered = sorted(mentions)
+    """Encode non-overlapping mentions as a tag sequence of the given length,
+    by one rule for every scheme: each token of a mention gets I; its first
+    gets B, but in IOB1 only after a mention of its type that ends right
+    there; in BILOU its last gets L, or U when it is one token long."""
+    tags = ["O"] * length
     prev: Mention | None = None
-    for m in ordered:
+    for m in sorted(mentions):
         if m.end > length:
             raise DataError(f"mention ({m.start}, {m.end}) exceeds length {length}")
         if prev is not None and m.start < prev.end:
             raise DataError(
                 f"overlapping mentions ({prev.start}, {prev.end}) and ({m.start}, {m.end})"
             )
-        prev = m
-
-    tags = ["O"] * length
-    prev = None
-    for m in ordered:
-        if scheme is TagScheme.BILOU:
-            if m.length == 1:
-                tags[m.start] = f"U-{m.etype}"
-            else:
-                tags[m.start] = f"B-{m.etype}"
-                for i in range(m.start + 1, m.end - 1):
-                    tags[i] = f"I-{m.etype}"
-                tags[m.end - 1] = f"L-{m.etype}"
-        elif scheme is TagScheme.IOB2:
+        tags[m.start : m.end] = [f"I-{m.etype}"] * m.length
+        if scheme is not TagScheme.IOB1 or (prev is not None and prev.end == m.start
+                                            and prev.etype == m.etype):
             tags[m.start] = f"B-{m.etype}"
-            for i in range(m.start + 1, m.end):
-                tags[i] = f"I-{m.etype}"
-        else:  # IOB1
-            adjacent_same = prev is not None and prev.end == m.start and prev.etype == m.etype
-            tags[m.start] = f"B-{m.etype}" if adjacent_same else f"I-{m.etype}"
-            for i in range(m.start + 1, m.end):
-                tags[i] = f"I-{m.etype}"
+        if scheme is TagScheme.BILOU:
+            tags[m.end - 1] = f"{'U' if m.length == 1 else 'L'}-{m.etype}"
         prev = m
     return tags
 

@@ -217,7 +217,6 @@ class EmbeddingTable:
         ngram_min: int = 3,
         ngram_max: int = 6,
         seed: int = 0,
-        counts: Sequence[int] | None = None,
     ):
         vectors = np.asarray(vectors, dtype=np.float32)
         if len(words) != vectors.shape[0]:
@@ -233,7 +232,6 @@ class EmbeddingTable:
         self.ngram_min = ngram_min
         self.ngram_max = ngram_max
         self.seed = seed
-        self.counts = None if counts is None else list(counts)
         self.epoch_losses: list[float] = []
 
     @property
@@ -512,7 +510,6 @@ def train_skipgram(lines: Iterable[str], config: EmbedConfig | None = None) -> E
         ngram_min=cfg.ngram_min,
         ngram_max=cfg.ngram_max,
         seed=cfg.seed,
-        counts=[int(c) for c in trainer.counts],
     )
     table.epoch_losses = trainer.epoch_losses
     return table

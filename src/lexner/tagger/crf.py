@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..corpus import bilou_grammar
 from ..errors import DataError
 
 
@@ -214,36 +215,9 @@ def crf_nll_and_grad(
 
 
 def bilou_allowed_transitions(tags: list[str]) -> np.ndarray:
-    """Boolean (L+2, L+2) matrix of scheme-valid moves for a BILOU tag set.
-
-    START behaves like "outside" on the left (O, B-, U- may follow), STOP
-    like "outside" on the right (only O, L-, U- may precede it).
-    """
+    """Boolean (L+2, L+2) matrix of `corpus.bilou_grammar`'s moves: a path
+    takes allowed moves only iff strict BILOU decoding accepts its tags."""
     L = len(tags)
-    start, stop = L, L + 1
     allowed = np.zeros((L + 2, L + 2), dtype=bool)
-
-    def kind(tag: str) -> tuple[str, str | None]:
-        if tag == "O":
-            return "O", None
-        return tag[:1], tag[2:]  # an empty tag has no kind
-
-    opens = {"O", "B", "U"}  # may follow an outside-like state
-    closes = {"O", "L", "U"}  # may precede an outside-like state
-    for j, tj in enumerate(tags):
-        kj, _ = kind(tj)
-        if kj in opens:
-            allowed[start, j] = True
-    for i, ti in enumerate(tags):
-        ki, _ = kind(ti)
-        if ki in closes:
-            allowed[i, stop] = True
-    for i, ti in enumerate(tags):
-        ki, ei = kind(ti)
-        for j, tj in enumerate(tags):
-            kj, ej = kind(tj)
-            if ki in closes:
-                allowed[i, j] = kj in opens
-            else:  # open mention of type ei: must continue or close it
-                allowed[i, j] = kj in {"I", "L"} and ej == ei
+    allowed[L, :L], allowed[:L, :L], allowed[:L, L + 1] = bilou_grammar(tags)
     return allowed

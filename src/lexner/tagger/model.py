@@ -34,9 +34,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .. import binfile
-from ..corpus import Sentence, capitalization_class
+from ..corpus import Sentence, TagScheme, capitalization_class, split_tag
 from ..embed import EmbeddingTable, lowercase_index
-from ..errors import DataError, FormatError, NumericalError
+from ..errors import DataError, FormatError, NumericalError, SchemeError
 from ..lexsim import LSTable
 from .crf import (
     bilou_allowed_transitions,
@@ -707,6 +707,11 @@ def _read_header(blob: bytes) -> dict:
     for key in ("tags", "chars", "words"):
         if not _is_str_list(header[key]):
             raise bad(f"{key} is not a list of strings")
+    try:  # every tag is a state of the CRF's BILOU grammar
+        for i, tag in enumerate(header["tags"]):
+            split_tag(tag, TagScheme.BILOU, i)
+    except SchemeError as exc:
+        raise bad(f"tags {exc}") from None
     if type(header["word_dim"]) is not int or header["word_dim"] < 0:
         raise bad("word_dim is not a non-negative integer")
     if not isinstance(header["ls_hash"], str):
@@ -717,17 +722,24 @@ def _read_header(blob: bytes) -> dict:
     return header
 
 
+def float32_flat(params: ParamStore, context: str = "") -> np.ndarray:
+    """`params.flat` as little-endian float32. A value that is not finite
+    there (a diverged fit) is a NumericalError naming the first parameter,
+    in name order, that holds one; `context` leads its message."""
+    with np.errstate(over="ignore"):
+        flat32 = params.flat.astype("<f4")
+    if not np.isfinite(flat32).all():
+        bad = next(k for k, span in params.spans.items() if not np.isfinite(flat32[span]).all())
+        raise NumericalError(f"{context}parameter {bad!r} does not fit in float32; the fit diverged")
+    return flat32
+
+
 def save_checkpoint(model: TaggerModel, path: str | Path) -> None:
     """Single binary file: magic, version, JSON header, float32 tensors in
     `model.shapes` order. A parameter that overflows float32 (a diverged
     fit) is a NumericalError, raised before the file is opened."""
-    tensors = []
-    for name, v in model.params.items():
-        with np.errstate(over="ignore"):
-            v32 = np.asarray(v, dtype="<f4")
-        if not np.isfinite(v32).all():
-            raise NumericalError(f"parameter {name!r} does not fit in float32; the fit diverged")
-        tensors.append(v32.tobytes())
+    flat32 = float32_flat(model.params)
+    tensors = [flat32[span].tobytes() for span in model.params.spans.values()]
     gaz = model.gazetteer
     header = {
         "version": CHECKPOINT_VERSION,

@@ -14,7 +14,7 @@ from ..errors import DataError, NumericalError, SchemeError
 from ..evaluation import evaluate
 from ..lexsim import LSTable
 from .gazetteer import Gazetteer
-from .model import ParamStore, TaggerConfig, TaggerModel
+from .model import ParamStore, TaggerConfig, TaggerModel, float32_flat
 
 
 def global_norm(grads: ParamStore) -> float:
@@ -74,7 +74,9 @@ def train(
     The dev set steers early stopping: the best-dev parameters are kept and
     restored at the end. History rows carry epoch index, mean train NLL per
     sentence, and dev F1. Each set's surfaces are encoded once, before the
-    first epoch, and so are the dev set's gold mentions.
+    first epoch, and so are the dev set's gold mentions. An epoch that
+    leaves a parameter beyond float32, which a checkpoint stores, ends the
+    fit with a NumericalError before its dev pass.
     """
     if not train_set:
         raise DataError("empty training set")
@@ -115,6 +117,7 @@ def train(
             sgd_step(model.params, grads, velocities, config, epoch)
             total += loss
         mean_loss = total / n
+        float32_flat(model.params, f"epoch {epoch}: ")  # stop once the fit has diverged
 
         dev_f1 = evaluate(dev_gold, model.tag_batch(dev_data)).f1
         history.append({"epoch": epoch, "loss": mean_loss, "dev_f1": dev_f1})

@@ -26,7 +26,11 @@ from lexner.errors import DataError, FormatError, LexnerError, ParseError, Schem
 from lexner.tagger.crf import bilou_allowed_transitions
 
 from column_reference import reference_column_sentences
-from scheme_reference import reference_tags_to_mentions
+from scheme_reference import (
+    reference_bilou_allowed_transitions,
+    reference_mentions_to_tags,
+    reference_tags_to_mentions,
+)
 
 SAMPLE = """\
 EU B-ORG
@@ -412,6 +416,48 @@ class TestSchemeDecoderOracle:
         except SchemeError:
             decodes = False
         assert decodes == all(allowed[a, b] for a, b in zip(path, path[1:]))
+
+
+def every_mention_layout(max_length):
+    """(n, mentions) for n = 0..max_length, built as `mention_layouts` builds
+    them: every way to cut [0, n) into segments, each segment O, A or B."""
+    yield 0, []
+    for n in range(1, max_length + 1):
+        for cut in itertools.product((False, True), repeat=n - 1):
+            bounds = [0] + [i for i, c in enumerate(cut, start=1) if c] + [n]
+            segments = list(zip(bounds, bounds[1:]))
+            for types in itertools.product((None, "A", "B"), repeat=len(segments)):
+                yield n, [Mention(a, b, t) for (a, b), t in zip(segments, types) if t]
+
+
+class TestSchemeEncoderOracle:
+    """`mentions_to_tags` and the CRF mask against the per-scheme encoder
+    and the hand-written mask they replaced."""
+
+    def test_every_short_layout(self):
+        cases = 0
+        for n, mentions in every_mention_layout(7):
+            for scheme in TagScheme:
+                assert (mentions_to_tags(mentions, n, scheme)
+                        == reference_mentions_to_tags(mentions, n, scheme))
+                cases += 1
+        assert cases == 49_152
+
+    def test_every_small_tag_set(self):
+        """Mask bytes for every list of up to five distinct well-formed tags."""
+        cases = 0
+        for k in range(6):
+            for tags in itertools.permutations(DECODER_ALPHABET[:9], k):
+                got = bilou_allowed_transitions(list(tags))
+                assert got.dtype == bool
+                assert got.tobytes() == reference_bilou_allowed_transitions(list(tags)).tobytes()
+                cases += 1
+        assert cases == 18_730
+
+    @pytest.mark.parametrize("tags", [["O", "X-A"], ["B-"], [""]])
+    def test_mask_refuses_malformed_tags(self, tags):
+        with pytest.raises(SchemeError, match="malformed bilou tag"):
+            bilou_allowed_transitions(tags)
 
 
 class TestCapClass:

@@ -1,5 +1,6 @@
 import os
 import threading
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -548,7 +549,7 @@ class TestTraining:
     def test_vocab_sorted_by_frequency_then_word(self):
         lines = ["b a b a b"] * 5 + ["c c c c c"] * 3
         table = train_skipgram(lines, small_config(min_count=5))
-        counts = dict(zip(table.words, table.counts))
+        counts = Counter(w for line in lines for w in line.split())
         assert table.words == sorted(table.words, key=lambda w: (-counts[w], w))
 
     def test_empty_vocab_rejected(self):

@@ -22,6 +22,7 @@ from lexner.embed import EmbeddingTable, load_embeddings
 from lexner.errors import DataError, FormatError, LexnerError, NumericalError
 from lexner.evaluation import evaluate
 from lexner.lexsim import LSTable, build_ls_table
+from lexner.synth import make_world, ner_dataset
 from lexner.tagger import (
     Gazetteer,
     TaggerConfig,
@@ -736,6 +737,18 @@ class TestTraining:
             for n in ("1", "2")
         ]
         assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_a_diverged_fit_stops_at_its_first_bad_epoch(self):
+        """At a learning rate of 1e300 the first epoch leaves parameters
+        beyond float32: the fit stops there, before any dev pass reports."""
+        splits = ner_dataset(make_world(1), seed=3, n_train=60, n_dev=20, n_test=1)
+        cfg = TaggerConfig(features=("char", "cap"), learning_rate=1e300, max_epochs=3)
+        said = []
+        with pytest.raises(NumericalError, match=r"^epoch 0: parameter 'char_emb' does not fit "
+                                                 r"in float32; the fit diverged$"):
+            train(splits.train, splits.dev, cfg, progress=said.append)
+        assert said == []
 
     def test_overfits_small_set(self):
         table, inv, ls = tiny_world()

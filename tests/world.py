@@ -87,6 +87,7 @@ BAD_CHECKPOINT_HEADERS = {
     "missing_config_field": lambda h: {**h, "config": _without(h["config"], "seed")},
     "mistyped_config_value": lambda h: {**h, "config": {**h["config"], "word_hidden": "big"}},
     "mistyped_tags": lambda h: {**h, "tags": "O"},
+    "malformed_tag": lambda h: {**h, "tags": [t if t == "O" else "Q" + t[1:] for t in h["tags"]]},
     "fractional_config_int": lambda h: {**h, "config": {**h["config"], "word_hidden": 2.5}},
     "missing_word_dim": lambda h: _without(h, "word_dim"),
     "mistyped_word_dim": lambda h: {**h, "word_dim": "6"},
@@ -100,11 +101,12 @@ BAD_CHECKPOINT_HEADERS = {
 
 def resize_header(header: dict, key: str, how: str, arg) -> dict:
     """Edit a header list or int field, in the header or its config:
-    "extra" appends `arg` new items, "fewer" drops the last `arg` items and
-    "set" replaces the value with `arg`."""
+    "extra" appends `arg` new items (well-formed tags for "tags"), "fewer"
+    drops the last `arg` items and "set" replaces the value with `arg`."""
     target = header["config"] if key in header["config"] else header
     if how == "extra":
-        target[key] = target[key] + [f"extra{i}" for i in range(arg)]
+        prefix = "U-" if key == "tags" else ""
+        target[key] = target[key] + [f"{prefix}extra{i}" for i in range(arg)]
     elif how == "fewer":
         target[key] = target[key][:-arg]
     else:
