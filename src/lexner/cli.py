@@ -172,13 +172,16 @@ def _check_output_dir(path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_tagged(path: str, scheme: TagScheme) -> list[Sentence]:
-    sentences = load_column_file(path)
-    if scheme is TagScheme.BILOU:
-        return sentences
-    return [
-        s.with_tags(convert_scheme(s.tags, scheme, TagScheme.BILOU))
-        for s in sentences
-    ]
+    """The sentences of a column file, their tags converted to BILOU."""
+    sentences = []
+    for start, s in _column_sentences(read_text(path).split("\n")):
+        if scheme is not TagScheme.BILOU:
+            try:
+                s = s.with_tags(convert_scheme(s.tags, scheme, TagScheme.BILOU))
+            except DataError as e:
+                raise DataError(f"{path}: sentence starting at line {start}: {e}") from e
+        sentences.append(s)
+    return sentences
 
 
 def _load_gazetteer(pairs: list[str] | None) -> Gazetteer | None:
@@ -223,7 +226,7 @@ def cmd_prepare_dual(args) -> int:
         for start, s in _column_sentences(lines):
             try:
                 mentions = tags_to_mentions(s.tags, scheme, strict=True)
-                plain = Sentence(s.tokens, mentions=mentions)
+                plain = Sentence(s.words, mentions=mentions)
                 for line in build_dual_corpus([plain], inventory):
                     out.write(line + "\n")
             except DataError as e:
@@ -410,10 +413,10 @@ def cmd_synth(args) -> int:
     write_column_file(out / "dev.txt", splits.dev)
     write_column_file(out / "test.txt", splits.test)
     vocab = sorted({
-        t.lower
+        w.lower()
         for part in (splits.train, splits.dev, splits.test)
         for s in part
-        for t in s.tokens
+        for w in s.words
     })
     (out / "vocab.txt").write_text("".join(w + "\n" for w in vocab), encoding="utf-8")
 

@@ -1,7 +1,9 @@
 """Column-format NER data, tag schemes, mentions, and the dual-view corpus.
 
 All functions here are pure; sentences are cheap immutable-ish records that
-can be processed in parallel batches without shared state.
+can be processed in parallel batches without shared state. A sentence holds
+its words as plain strings, checked all at once when it is built; `Token`
+objects are made only when `Sentence.tokens` is asked for.
 """
 from __future__ import annotations
 
@@ -38,17 +40,6 @@ class Token:
         return self.surface
 
 
-def _trusted_tokens(words: Iterable[str]) -> list[Token]:
-    """Tokens of surfaces already known to be valid, built without `Token`'s
-    per-token check."""
-    tokens = []
-    for w in words:
-        t = object.__new__(Token)
-        object.__setattr__(t, "surface", w)  # as the frozen __init__ does
-        tokens.append(t)
-    return tokens
-
-
 @dataclass(frozen=True, order=True)
 class Mention:
     """Typed token span [start, end) within one sentence."""
@@ -70,28 +61,35 @@ class Mention:
 class Sentence:
     """Tokenized sentence with optional gold mentions and/or a tag sequence.
 
+    Every word must be a valid `Token` surface; building a sentence checks
+    them all at once and raises as `Token` does at the first bad one.
+
     When both tags and mentions are present the caller is responsible for
     keeping them consistent; parsing and decoding paths in this module always
     populate exactly one of the two.
     """
 
-    tokens: list[Token]
+    words: list[str]
     mentions: list[Mention] | None = None
     tags: list[str] | None = None
     doc_index: int = 0
 
     def __post_init__(self):
-        if self.tags is not None and len(self.tags) != len(self.tokens):
+        if " ".join(self.words).split() != self.words:  # some word is empty or holds whitespace
+            for w in self.words:
+                Token(w)  # raises at the first bad word
+        if self.tags is not None and len(self.tags) != len(self.words):
             raise DataError(
-                f"tag count {len(self.tags)} != token count {len(self.tokens)}"
+                f"tag count {len(self.tags)} != token count {len(self.words)}"
             )
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.words)
 
     @property
-    def words(self) -> list[str]:
-        return [t.surface for t in self.tokens]
+    def tokens(self) -> list[Token]:
+        """A fresh `Token` per word."""
+        return [Token(w) for w in self.words]
 
     @classmethod
     def from_words(
@@ -101,13 +99,8 @@ class Sentence:
         mentions: Sequence[Mention] | None = None,
         doc_index: int = 0,
     ) -> "Sentence":
-        words = list(words)
-        if " ".join(words).split() == words:  # no word is empty or holds whitespace
-            tokens = _trusted_tokens(words)
-        else:
-            tokens = [Token(w) for w in words]  # raises at the first bad surface
         return cls(
-            tokens=tokens,
+            list(words),
             tags=list(tags) if tags is not None else None,
             mentions=list(mentions) if mentions is not None else None,
             doc_index=doc_index,
@@ -239,8 +232,7 @@ def _column_sentences(
             started = True
             continue
         if words:
-            # split fields are non-empty and hold no whitespace
-            yield first, Sentence(_trusted_tokens(words), tags=tags, doc_index=doc)
+            yield first, Sentence(words, tags=tags, doc_index=doc)
             words, tags = [], []
         if fields:  # -DOCSTART-
             if started:
@@ -288,11 +280,11 @@ def format_column(sentences: Iterable[Sentence], extra_tags: Sequence[Sequence[s
             extra = extra_tags[i]
             if len(extra) != len(s):
                 raise DataError(f"sentence {i}: {len(extra)} extra tags for {len(s)} tokens")
-        for j, (tok, tag) in enumerate(zip(s.tokens, tags)):
+        for j, (word, tag) in enumerate(zip(s.words, tags)):
             if extra is not None:
-                out.append(f"{tok.surface} {tag} {extra[j]}")
+                out.append(f"{word} {tag} {extra[j]}")
             else:
-                out.append(f"{tok.surface} {tag}")
+                out.append(f"{word} {tag}")
         out.append("")
     if out and out[-1] == "":
         out.pop()
@@ -496,7 +488,7 @@ def build_dual_corpus(
                 raise DataError(f"sentence {n}: unknown entity type {m.etype!r}")
             prev_end = m.end
 
-        lowered = [t.lower for t in s.tokens]
+        lowered = [w.lower() for w in s.words]
         yield " ".join(lowered)
 
         v2: list[str] = []

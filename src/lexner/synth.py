@@ -145,14 +145,14 @@ class NerSplits:
 
     def oov_entity_token_rate(self) -> float:
         """Fraction of test entity tokens whose surface never occurs in train."""
-        seen = {tok.lower for s in self.train for tok in s.tokens}
+        seen = {w.lower() for s in self.train for w in s.words}
         total = 0
         oov = 0
         for s in self.test:
             for m in s.mentions or []:
                 for i in range(m.start, m.end):
                     total += 1
-                    if s.tokens[i].lower not in seen:
+                    if s.words[i].lower() not in seen:
                         oov += 1
         if total == 0:
             raise DataError("test split has no entity tokens")

@@ -32,7 +32,7 @@ class Gazetteer:
 
 def gazetteer_features(sentence: Sentence, gazetteer: Gazetteer) -> np.ndarray:
     """Per-token bit vector, one column per list, as float64 (T, lists)."""
-    words = [t.lower for t in sentence.tokens]
+    words = [w.lower() for w in sentence.words]
     T = len(words)
     out = np.zeros((T, len(gazetteer.names)))
     for col, name in enumerate(gazetteer.names):

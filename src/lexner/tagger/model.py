@@ -399,7 +399,7 @@ class TaggerModel:
         """
         cfg = self.config
         sentences = list(sentences)
-        bounds = np.add.accumulate([0] + [len(s.tokens) for s in sentences])
+        bounds = np.add.accumulate([0] + [len(s) for s in sentences])
         tag_ids = None
         if gold:
             if any(s.tags is None for s in sentences):
@@ -411,8 +411,8 @@ class TaggerModel:
                 raise DataError(f"tag {exc.args[0]!r} not in the model tag set") from None
         # plain dict, not np.unique: fixed-width numpy strings drop trailing NULs
         index: dict[str, int] = {}
-        ids = np.array([index.setdefault(tok.surface, len(index))
-                        for s in sentences for tok in s.tokens], dtype=np.int64)
+        ids = np.array([index.setdefault(w, len(index))
+                        for s in sentences for w in s.words], dtype=np.int64)
         surfaces = list(index)
         table: dict[str, np.ndarray] = {}
         n = len(surfaces)

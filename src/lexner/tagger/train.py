@@ -90,7 +90,7 @@ def train(
         except SchemeError as e:
             raise DataError(f"training sentence {i} is not strict BILOU: {e}") from None
     tags = sorted({t for s in train_set for t in s.tags})
-    charset = sorted({c for s in train_set for tok in s.tokens for c in tok.surface})
+    charset = sorted({c for s in train_set for w in s.words for c in w})
     model = TaggerModel.build(config, tags, charset, pretrained, ls_table, gazetteer)
     train_data = model.encode(train_set, gold=True)
     dev_data = model.encode(dev_set)

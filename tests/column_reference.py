@@ -20,7 +20,7 @@ def reference_column_sentences(lines, require_tags=True):
         nonlocal words, tags
         if not words:
             return None
-        s = Sentence(tokens=[Token(w) for w in words], tags=list(tags), doc_index=doc)
+        s = Sentence([Token(w).surface for w in words], tags=list(tags), doc_index=doc)
         words, tags = [], []
         return s
 

@@ -17,7 +17,8 @@ from lexner.cli import (
     main,
     parse_config_text,
 )
-from lexner.corpus import TagScheme, TypeInventory, load_column_file, tags_to_mentions, write_column_file
+from lexner.corpus import (TagScheme, TypeInventory, convert_scheme, load_column_file,
+                           tags_to_mentions, write_column_file)
 from lexner.embed import SUBWORD_MAGIC, EmbedConfig, EmbeddingTable, load_embeddings, save_embeddings
 from lexner.errors import DataError, LexnerError, UsageError
 from lexner.lexsim import load_ls_table
@@ -772,6 +773,20 @@ class TestExitCodes:
             assert rc == 0
             assert main(["tag", "--checkpoint", str(out), "--ls-table", str(bins / "table.lstb"),
                          "--input", str(bins / "train.txt"), "--output", str(tmp_path / "tags.txt")]) == 0
+
+    def test_dev_tags_outside_the_scheme_name_the_file_and_line(self, bins, tmp_path, capsys):
+        train = tmp_path / "train.iob1"
+        write_column_file(train, [s.with_tags(convert_scheme(s.tags, TagScheme.BILOU, TagScheme.IOB1))
+                                  for s in tagged_sentences()])
+        dev = tmp_path / "dev.bilou"
+        dev.write_text("the O\nfox I-animal\n\ngold U-metal\nis O\n")
+        out = tmp_path / "model.ckpt"
+        assert main(["train-ner", "--train", str(train), "--dev", str(dev), "--scheme", "iob1",
+                     "--output", str(out), "--embeddings", str(bins / "vectors.vec"),
+                     "--ls-table", str(bins / "table.lstb"), *TINY_FLAGS]) == 2
+        assert capsys.readouterr().err == (f"lexner: {dev}: sentence starting at line 4: "
+                                           "position 0: malformed iob1 tag 'U-metal'\n")
+        assert not out.exists()
 
     def test_train_ner_with_an_empty_dev_set(self, bins, tmp_path, capsys):
         empty = tmp_path / "empty.txt"

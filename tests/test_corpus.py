@@ -197,6 +197,17 @@ COLUMN_LINES = st.lists(
     max_size=12)
 
 
+def _built(build):
+    try:
+        return build()
+    except DataError as e:
+        return str(e)
+
+
+WORDS = st.lists(st.text(st.sampled_from(["a", "東", "\r", "\n", *WHITESPACE]), max_size=3),
+                 max_size=5)
+
+
 def _reader_outcome(read, lines, require_tags):
     try:
         return list(read(lines, require_tags))
@@ -229,18 +240,24 @@ class TestColumnReaderOracle:
             Sentence.from_words(["ok", word, "x y"])
         assert str(got.value) == str(expected.value)
 
-    @given(st.lists(st.text(st.sampled_from(["a", "東", "\r", "\n", *WHITESPACE]), max_size=3),
-                    max_size=5))
+    @given(WORDS)
     @settings(max_examples=300, deadline=None)
     def test_from_words_builds_what_token_builds(self, words):
-        def outcome(build):
-            try:
-                return build()
-            except DataError as e:
-                return str(e)
+        assert (_built(lambda: Sentence.from_words(words).tokens)
+                == _built(lambda: [Token(w) for w in words]))
 
-        assert (outcome(lambda: Sentence.from_words(words).tokens)
-                == outcome(lambda: [Token(w) for w in words]))
+    @pytest.mark.parametrize("word", ["", *(f"a{c}b" for c in [*WHITESPACE, "\r", "\n"])])
+    def test_sentence_raises_as_token_does(self, word):
+        with pytest.raises(DataError) as expected:
+            Token(word)
+        with pytest.raises(DataError) as got:
+            Sentence(["ok", word, "x y"])
+        assert str(got.value) == str(expected.value)
+
+    @given(WORDS)
+    @settings(max_examples=300, deadline=None)
+    def test_sentence_builds_what_token_builds(self, words):
+        assert _built(lambda: Sentence(words).tokens) == _built(lambda: [Token(w) for w in words])
 
 
 class TestSchemes:
@@ -592,6 +609,14 @@ class TestSentence:
             Token("two words")
         with pytest.raises(DataError):
             Token("")
+
+    def test_tokens_is_a_fresh_list(self):
+        s = Sentence(["EU", "rejects"])
+        tokens = s.tokens
+        tokens[0] = Token("UN")
+        tokens.append(Token("call"))
+        assert s.words == ["EU", "rejects"]
+        assert s.tokens == [Token("EU"), Token("rejects")] and s.tokens is not tokens
 
     def test_with_tags_replaces(self):
         s = Sentence.from_words(["a", "b"], mentions=[Mention(0, 1, "X")])

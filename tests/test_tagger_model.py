@@ -17,7 +17,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexner.corpus import Sentence, TagScheme, TypeInventory, tags_to_mentions
+from lexner.corpus import (
+    Mention,
+    Sentence,
+    TagScheme,
+    Token,
+    TypeInventory,
+    build_dual_corpus,
+    format_column,
+    load_column_file,
+    parse_column_text,
+    tags_to_mentions,
+)
 from lexner.embed import EmbeddingTable, load_embeddings
 from lexner.errors import DataError, FormatError, LexnerError, NumericalError
 from lexner.evaluation import evaluate
@@ -429,6 +440,30 @@ class TestEncodedOracle:
         model, _, _ = build_tiny_model()
         with pytest.raises(DataError, match="tag 'B-nothere' not in the model tag set"):
             model.encode([Sentence.from_words(["the"], tags=["B-nothere"])], gold=True)
+
+
+class TestWordsOnly:
+    def test_reading_building_and_encoding_make_no_token(self, monkeypatch, tmp_path):
+        """Sentences hold their words; only `Sentence.tokens` makes `Token`s."""
+        model, sents, _ = build_tiny_model(features=ORACLE_FEATURES["gazetteer"],
+                                           gazetteer=Gazetteer(ORACLE_GAZETTEER))
+        text = format_column(sents)
+        (tmp_path / "train.txt").write_text(text, encoding="utf-8")
+
+        def no_token(token):
+            raise AssertionError(f"a Token was built for {token.surface!r}")
+
+        monkeypatch.setattr(Token, "__post_init__", no_token)
+        with pytest.raises(AssertionError, match="for 'the'"):
+            sents[0].tokens
+        loaded = load_column_file(tmp_path / "train.txt")
+        assert loaded == parse_column_text(text) == sents
+        again = [Sentence.from_words(s.words, tags=s.tags) for s in loaded]
+        encoded = model.encode(again, gold=True)
+        assert encoded.gazetteer is not None and len(encoded.gold) == sum(map(len, again))
+        assert [len(tags) for tags in model.tag_batch(encoded)] == [len(s) for s in again]
+        dual = Sentence.from_words(["the", "Fox"], mentions=[Mention(1, 2, "/animal")])
+        assert list(build_dual_corpus([dual], TypeInventory(["/animal"]))) == ["the fox", "the /animal"]
 
 
 class TestRowSums:
