@@ -19,13 +19,12 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .corpus import (
-    _column_sentences,
-    Sentence,
     TagScheme,
     TypeInventory,
-    build_dual_corpus,
     convert_scheme,
+    dual_views,
     format_column,
+    iter_column_file,
     load_column_file,
     mentions_to_tags,
     read_lines,
@@ -45,7 +44,6 @@ from .lexsim import (
 from .synth import distant_sentences, make_world, ner_dataset
 from .tagger import Gazetteer, TaggerConfig, train
 from .tagger.model import load_checkpoint, save_checkpoint
-from .tagger.train import progress_to_stderr
 
 _PATH_KEYS = ("embeddings", "ls_table", "inventory")
 
@@ -171,17 +169,19 @@ def _check_output_dir(path: str) -> None:
 # Shared input handling
 # ---------------------------------------------------------------------------
 
-def _load_tagged(path: str, scheme: TagScheme) -> list[Sentence]:
-    """The sentences of a column file, their tags converted to BILOU."""
-    sentences = []
-    for start, s in _column_sentences(read_text(path).split("\n")):
-        if scheme is not TagScheme.BILOU:
-            try:
-                s = s.with_tags(convert_scheme(s.tags, scheme, TagScheme.BILOU))
-            except DataError as e:
-                raise DataError(f"{path}: sentence starting at line {start}: {e}") from e
-        sentences.append(s)
-    return sentences
+def progress_to_stderr(msg: str) -> None:
+    print(msg, file=sys.stderr, flush=True)
+
+
+def _load_tagged(path: str, scheme: TagScheme) -> list:
+    """The sentences of a column file, their tags decoded strictly, in BILOU."""
+    return load_column_file(path, check=lambda s: s.with_tags(
+        convert_scheme(s.tags, scheme, TagScheme.BILOU)))
+
+
+def _decoded(scheme: TagScheme):
+    """A column-file check: the sentence with the mentions its tags strictly decode to."""
+    return lambda s: replace(s, mentions=tags_to_mentions(s.tags, scheme, strict=True))
 
 
 def _load_gazetteer(pairs: list[str] | None) -> Gazetteer | None:
@@ -198,9 +198,8 @@ def _load_gazetteer(pairs: list[str] | None) -> Gazetteer | None:
     return Gazetteer(lists)
 
 
-def _load_tagger_inputs(args, cfg: PipelineConfig):
+def _load_tagger_inputs(args, cfg: PipelineConfig, feats):
     """Embeddings / LS table / gazetteer, as far as the feature set needs them."""
-    feats = cfg.tagger.features
     pretrained = None
     if "word_emb" in feats:
         pretrained = load_embeddings(_flag_or_path(args, cfg, "embeddings", "embeddings"))
@@ -219,19 +218,12 @@ def _load_tagger_inputs(args, cfg: PipelineConfig):
 
 def cmd_prepare_dual(args) -> int:
     inventory = TypeInventory.load(args.inventory)
-    scheme = TagScheme.parse(args.scheme)
+    decode = _decoded(TagScheme.parse(args.scheme))
+    views = iter_column_file(args.input, check=lambda s: dual_views(decode(s), inventory))
     n = 0
-    lines = read_text(args.input).split("\n")
     with open(args.output, "w", encoding="utf-8") as out:
-        for start, s in _column_sentences(lines):
-            try:
-                mentions = tags_to_mentions(s.tags, scheme, strict=True)
-                plain = Sentence(s.words, mentions=mentions)
-                for line in build_dual_corpus([plain], inventory):
-                    out.write(line + "\n")
-            except DataError as e:
-                msg = str(e).removeprefix("sentence 0: ")
-                raise DataError(f"sentence starting at line {start}: {msg}") from e
+        for raw, typed in views:
+            out.write(f"{raw}\n{typed}\n")
             n += 1
     progress_to_stderr(f"prepare-dual: {n} sentences -> {args.output}")
     return 0
@@ -301,7 +293,7 @@ def cmd_train_ner(args) -> int:
         _check_output_dir(args.history)
     train_set = _load_tagged(args.train, scheme)
     dev_set = _load_tagged(args.dev, scheme)
-    pretrained, ls, gaz = _load_tagger_inputs(args, cfg)
+    pretrained, ls, gaz = _load_tagger_inputs(args, cfg, cfg.tagger.features)
     progress_to_stderr(
         f"train-ner: {len(train_set)} train / {len(dev_set)} dev sentences, "
         f"features {'+'.join(cfg.tagger.features)}, seed {cfg.tagger.seed}"
@@ -334,7 +326,7 @@ def cmd_tag(args) -> int:
 
 def cmd_eval(args) -> int:
     scheme = TagScheme.parse(args.scheme)
-    gold = load_column_file(args.gold)
+    gold = load_column_file(args.gold, check=_decoded(scheme))
     pred = load_column_file(args.pred)
     report = evaluate(gold, pred, scheme)
     print(report.machine() if args.machine else report.text())
@@ -359,10 +351,8 @@ def cmd_ablate(args) -> int:
     test_set = _load_tagged(args.test, scheme)
 
     # load once against the union so every row sees identical inputs
-    union = replace(cfg.tagger, features=tuple(
-        dict.fromkeys(f for fs in feature_sets for f in fs)
-    ))
-    pretrained, ls, gaz = _load_tagger_inputs(args, replace(cfg, tagger=union))
+    union = {f for fs in feature_sets for f in fs}
+    pretrained, ls, gaz = _load_tagger_inputs(args, cfg, union)
 
     base = cfg.tagger.seed
     print(f"# ablate: runs = {args.runs}, seeds = {base}..{base + args.runs - 1}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DataError, FormatError, ParseError, SchemeError
 
@@ -207,9 +207,18 @@ def read_lines(path: str | Path) -> list[str]:
 
 
 def _column_sentences(
-    lines: Iterable[str], require_tags: bool = True
-) -> Iterator[tuple[int, Sentence]]:
-    """(line number of its first token, sentence) per sentence of column lines."""
+    lines: Iterable[str], require_tags: bool = True, path: str | Path | None = None,
+    check: Callable[[Sentence], object] | None = None,
+) -> Iterator:
+    """Each sentence of column lines, or `check(sentence)` when `check` is given.
+
+    Each non-blank line is `token<sep>tag` (whitespace separator, the last
+    field is the tag); a blank line ends a sentence; a line whose first field
+    is "-DOCSTART-" starts a new document group and is not itself emitted.
+    Errors name `path` and a line: a line with no tag column raises ParseError
+    "PATH: line N: ...", and a DataError from `check` is raised again as
+    "PATH: sentence starting at line N: ...", at the sentence's first token.
+    """
     words: list[str] = []
     tags: list[str] = []
     doc = 0
@@ -225,14 +234,19 @@ def _column_sentences(
             if len(fields) > 1:
                 tags.append(fields[-1])
             elif require_tags:
-                line = raw.rstrip("\n").rstrip("\r")
-                raise ParseError(f"missing tag column in {line!r}", lineno)
+                raise ParseError(f"missing tag column in {raw!r}", lineno, path)
             else:
                 tags.append("O")
             started = True
             continue
         if words:
-            yield first, Sentence(words, tags=tags, doc_index=doc)
+            s = Sentence(words, tags=tags, doc_index=doc)
+            if check is not None:
+                try:
+                    s = check(s)
+                except DataError as e:
+                    raise DataError(f"{path}: sentence starting at line {first}: {e}") from e
+            yield s
             words, tags = [], []
         if fields:  # -DOCSTART-
             if started:
@@ -240,25 +254,24 @@ def _column_sentences(
             started = True
 
 
-def iter_column_sentences(
-    lines: Iterable[str], require_tags: bool = True
-) -> Iterator[Sentence]:
-    """Stream sentences out of column-format lines.
-
-    Each non-blank line is `token<sep>tag` (whitespace separator, the last
-    field is the tag); a blank line ends a sentence; a line whose first field
-    is "-DOCSTART-" starts a new document group and is not itself emitted.
-    """
-    return (s for _, s in _column_sentences(lines, require_tags))
-
-
 def parse_column_text(text: str, require_tags: bool = True) -> list[Sentence]:
     """Sentences of column text; lines end at "\n", "\r\n" or "\r" only."""
-    return list(iter_column_sentences(_universal_newlines(text).split("\n"), require_tags))
+    return list(_column_sentences(_universal_newlines(text).split("\n"), require_tags))
 
 
-def load_column_file(path: str | Path, require_tags: bool = True) -> list[Sentence]:
-    return parse_column_text(read_text(path), require_tags)
+def iter_column_file(
+    path: str | Path, require_tags: bool = True, check: Callable[[Sentence], object] | None = None
+) -> Iterator:
+    """Each sentence of a column file, or `check(sentence)`, one at a time;
+    the file is read at this call (formats and errors: `_column_sentences`)."""
+    return _column_sentences(read_text(path).split("\n"), require_tags, path, check)
+
+
+def load_column_file(
+    path: str | Path, require_tags: bool = True, check: Callable[[Sentence], object] | None = None
+) -> list:
+    """`iter_column_file` as a list."""
+    return list(iter_column_file(path, require_tags, check))
 
 
 def format_column(sentences: Iterable[Sentence], extra_tags: Sequence[Sequence[str]] | None = None) -> str:
@@ -464,38 +477,39 @@ def capitalization_class(token: Token | str) -> CapClass:
 # Dual-view corpus
 # ---------------------------------------------------------------------------
 
+def dual_views(s: Sentence, inventory: TypeInventory) -> tuple[str, str]:
+    """A sentence's lowercased token line, and that line with every mention
+    span collapsed to its single type-label token."""
+    mentions = sorted(s.mentions) if s.mentions is not None else []
+    prev_end = 0
+    for m in mentions:
+        if m.start < prev_end:
+            raise DataError(f"overlapping mentions at token {m.start}")
+        if m.end > len(s):
+            raise DataError(f"mention ({m.start}, {m.end}) out of range")
+        if m.etype not in inventory:
+            raise DataError(f"unknown entity type {m.etype!r}")
+        prev_end = m.end
+
+    lowered = [w.lower() for w in s.words]
+    v2: list[str] = []
+    pos = 0
+    for m in mentions:
+        v2.extend(lowered[pos : m.start])
+        v2.append(m.etype)
+        pos = m.end
+    v2.extend(lowered[pos:])
+    return " ".join(lowered), " ".join(v2)
+
+
 def build_dual_corpus(
     sentences: Iterable[Sentence], inventory: TypeInventory
 ) -> Iterator[str]:
-    """Emit, per sentence, the lowercased token line followed by its variant
-    with every mention span collapsed to its single type-label token.
-
-    The two variants sit on adjacent lines so they stay inside one shuffling
-    unit downstream. Tokens outside mentions are identical in both lines.
-    """
+    """Emit, per sentence, its two `dual_views` on adjacent lines, so they
+    stay inside one shuffling unit downstream. An error names the sentence
+    by its index."""
     for n, s in enumerate(sentences):
-        if s.mentions is None:
-            mentions: list[Mention] = []
-        else:
-            mentions = sorted(s.mentions)
-        prev_end = 0
-        for m in mentions:
-            if m.start < prev_end:
-                raise DataError(f"sentence {n}: overlapping mentions at token {m.start}")
-            if m.end > len(s):
-                raise DataError(f"sentence {n}: mention ({m.start}, {m.end}) out of range")
-            if m.etype not in inventory:
-                raise DataError(f"sentence {n}: unknown entity type {m.etype!r}")
-            prev_end = m.end
-
-        lowered = [w.lower() for w in s.words]
-        yield " ".join(lowered)
-
-        v2: list[str] = []
-        pos = 0
-        for m in mentions:
-            v2.extend(lowered[pos : m.start])
-            v2.append(m.etype)
-            pos = m.end
-        v2.extend(lowered[pos:])
-        yield " ".join(v2)
+        try:
+            yield from dual_views(s, inventory)
+        except DataError as e:
+            raise DataError(f"sentence {n}: {e}") from None

@@ -18,10 +18,11 @@ class DataError(LexnerError):
 
 
 class ParseError(DataError):
-    """Unparseable input file; carries a 1-based line number."""
+    """Unparseable input file; carries a 1-based line number: "[PATH: ]line N: ..."."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int, path=None):
+        where = f"line {line}" if path is None else f"{path}: line {line}"
+        super().__init__(f"{where}: {message}")
         self.line = line
 
 

@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .. import binfile
-from ..corpus import Sentence, TagScheme, capitalization_class, split_tag
+from ..corpus import CapClass, Sentence, TagScheme, capitalization_class, split_tag
 from ..embed import EmbeddingTable, lowercase_index
 from ..errors import DataError, FormatError, NumericalError, SchemeError
 from ..lexsim import LSTable
@@ -50,8 +50,7 @@ CHECKPOINT_MAGIC = b"LXNR"
 CHECKPOINT_VERSION = 2
 
 FEATURE_NAMES = ("word_emb", "char", "cap", "ls", "gazetteer")
-UNK_WORD = "<unk>"
-N_CAP_CLASSES = 6
+N_CAP_CLASSES = len(CapClass)
 
 
 @dataclass

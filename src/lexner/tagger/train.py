@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import replace
 from typing import Callable, Sequence
 
@@ -137,7 +136,3 @@ def train(
     if best_flat is not None:
         model.params.flat[...] = best_flat
     return model, history
-
-
-def progress_to_stderr(msg: str) -> None:
-    print(msg, file=sys.stderr, flush=True)

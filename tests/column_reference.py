@@ -1,10 +1,12 @@
-"""The per-line column reader: the oracle for `corpus.iter_column_sentences`.
+"""The per-line column reader: the oracle for the column reader of `corpus`.
 
 `reference_column_sentences` reads column lines as the reader did before it
-split each line only once: it strips the line end, tests blankness with
-`strip`, builds every token through the validating `Token` constructor and
-flushes a sentence through a closure. Tests require the reader to give the
-same sentences, or the same exception, on any input.
+split each line only once: it strips the line end, so it also reads the
+lines of a text-mode file, tests blankness with `strip`, builds every token
+through the validating `Token` constructor and flushes a sentence through a
+closure. Tests require `parse_column_text` and `load_column_file` to give the
+same sentences, or the same exception, on any input; only `load_column_file`
+names the file in the exception's text.
 """
 from lexner.corpus import DOCSTART, Sentence, Token
 from lexner.errors import ParseError

@@ -180,8 +180,8 @@ class TestPrepareDual:
         rc = main(["prepare-dual", "--input", str(src), "--inventory", str(inv),
                    "--output", str(out)])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert "line 4" in err and "/bogus" in err
+        assert capsys.readouterr().err == (f"lexner: {src}: sentence starting at line 4: "
+                                           "unknown entity type '/bogus'\n")
 
     def test_broken_tag_sequence_names_the_line(self, tmp_path, capsys):
         src = tmp_path / "in.txt"
@@ -207,7 +207,7 @@ class TestPrepareDual:
         rc = main(["prepare-dual", "--input", str(src), "--inventory", str(inv),
                    "--output", str(tmp_path / "dual.txt")])
         assert rc == 2
-        assert capsys.readouterr().err == f"lexner: {message}\n"
+        assert capsys.readouterr().err == f"lexner: {src}: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -828,6 +828,82 @@ class TestExitCodes:
     def test_output_into_missing_directory(self, pipe):
         assert main(["train-embed", "--input", str(pipe / "dual.txt"),
                      "--output", str(pipe / "no" / "dir" / "out.vec")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# column-file errors, each naming its file and its line
+# ---------------------------------------------------------------------------
+
+def _no_fit(*args, **kwargs):
+    pytest.fail("a fit started before every column file was read")
+
+
+class TestColumnFileErrors:
+    def _fit(self, bins, *argv):
+        """train-ner on tiny settings with argv's --train, --dev and --output."""
+        return main(["train-ner", *map(str, argv), "--embeddings", str(bins / "vectors.vec"),
+                     "--ls-table", str(bins / "table.lstb"), *TINY_FLAGS])
+
+    def test_tagless_line_in_eval_pred(self, tmp_path, capsys):
+        gold, pred = tmp_path / "gold.txt", tmp_path / "pred.txt"
+        gold.write_text("a O\nfox O\n")
+        pred.write_text("a O\nfox\n")
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 2
+        assert capsys.readouterr().err == f"lexner: {pred}: line 2: missing tag column in 'fox'\n"
+
+    def test_orphan_in_eval_gold_under_iob2(self, tmp_path, capsys):
+        gold, pred = tmp_path / "gold.txt", tmp_path / "pred.txt"
+        gold.write_text("a O\n\nb O\nc I-X\n")
+        pred.write_text("a O\n\nb O\nc O\n")
+        assert main(["eval", "--gold", str(gold), "--pred", str(pred), "--scheme", "iob2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"lexner: {gold}: sentence starting at line 3: position 1: orphan I-X\n"
+        assert captured.out == ""
+
+    def test_tagless_line_in_train_ner_dev(self, bins, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("lexner.cli.train", _no_fit)
+        dev, out = tmp_path / "dev.txt", tmp_path / "model.ckpt"
+        dev.write_text("the O\n\nfox\n")
+        assert self._fit(bins, "--train", bins / "train.txt", "--dev", dev, "--output", out) == 2
+        assert capsys.readouterr().err == f"lexner: {dev}: line 3: missing tag column in 'fox'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--train", "--dev"])
+    def test_train_ner_checks_bilou_files_before_the_fit(self, bins, tmp_path, capsys,
+                                                         monkeypatch, flag):
+        monkeypatch.setattr("lexner.cli.train", _no_fit)
+        bad, out = tmp_path / "bad.txt", tmp_path / "model.ckpt"
+        bad.write_text("the O\nfox I-animal\n")
+        files = {"--train": bins / "train.txt", "--dev": bins / "train.txt", flag: bad}
+        assert self._fit(bins, *(a for kv in files.items() for a in kv), "--output", out) == 2
+        assert capsys.readouterr().err == (f"lexner: {bad}: sentence starting at line 1: "
+                                           "position 1: orphan I-animal\n")
+        assert not out.exists()
+
+    def test_ablate_checks_its_test_file_before_any_fit(self, bins, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("lexner.cli.train", _no_fit)
+        bad = tmp_path / "test.txt"
+        bad.write_text("a O\n\ngold B-metal\nis O\n")
+        assert main(["ablate", "--train", str(bins / "train.txt"), "--dev", str(bins / "train.txt"),
+                     "--test", str(bad), "--feature-sets", "char", "--runs", "1", *TINY_FLAGS]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"lexner: {bad}: sentence starting at line 3: "
+                                "position 1: O inside an open mention\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("scheme", [TagScheme.IOB1, TagScheme.IOB2])
+    def test_a_converted_train_file_gives_the_same_checkpoint(self, bins, tmp_path, scheme):
+        converted = tmp_path / f"train.{scheme.value}"
+        write_column_file(converted, [s.with_tags(convert_scheme(s.tags, TagScheme.BILOU, scheme))
+                                      for s in tagged_sentences()])
+        runs = {"bilou": bins / "train.txt", scheme.value: converted}
+        for name, path in runs.items():
+            assert self._fit(bins, "--train", path, "--dev", path, "--scheme", name,
+                             "--output", tmp_path / f"{name}.ckpt",
+                             "--history", tmp_path / f"{name}.tsv") == 0
+        for suffix in ("ckpt", "tsv"):
+            assert ((tmp_path / f"bilou.{suffix}").read_bytes()
+                    == (tmp_path / f"{scheme.value}.{suffix}").read_bytes())
 
 
 class TestLineEndings:

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexner.corpus import (
+    CapClass,
     Mention,
     Sentence,
     TagScheme,
@@ -137,6 +138,10 @@ class TestAssembly:
         a, b = x[0, 0, lo:hi], x[1, 0, lo:hi]
         np.testing.assert_allclose(a, model.params["cap_emb"][1])  # all lower
         np.testing.assert_allclose(b, model.params["cap_emb"][2])  # upper first
+
+    def test_cap_embedding_has_a_row_per_cap_class(self):
+        model, _, _ = build_tiny_model()
+        assert model.params["cap_emb"].shape == (len(CapClass), model.config.cap_emb_dim)
 
     def test_word_lookup_ignores_case(self):
         # the pretrained vocabulary is lowercased, as the dual corpus is
